@@ -11,36 +11,3 @@ _threads = _os.environ.get("PROTOSEG_THREADS", "1")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     _os.environ.setdefault(_var, _threads)
-
-from .autodiff import (Parameter, Tape, Tensor, backward, grad_check)  # noqa: E402
-from .config import Config, load_config, parse_config  # noqa: E402
-from .encoder import (DescriptorSet, Encoder, apply_mask, from_descriptors,  # noqa: E402
-                      kshot_average, mask_to_feature_grid, to_descriptors)
-from .episodes import (DefectClass, DistortionParams, Episode, FoldSplit,  # noqa: E402
-                       default_classes, generate_sample, make_folds,
-                       sample_episode)
-from .errors import ProtosegError  # noqa: E402
-from .excitation import FeatureExcitation, edge_similarity, guide, masked_avg_pool  # noqa: E402
-from .fusion import FusionHead, SegMask, bce_loss, binarize  # noqa: E402
-from .harness import (SGD, ablate, evaluate, gradcheck_model, load_network,  # noqa: E402
-                      model_report, save_checkpoint, train)
-from .metrics import EvalReport, fb_iou, iou, miou  # noqa: E402
-from .network import FewShotSegmenter  # noqa: E402
-from .reasoning import (GraphReasoning, build_adjacency, gcn_forward,  # noqa: E402
-                        normalized_laplacian)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Config", "DefectClass", "DescriptorSet", "DistortionParams", "Encoder",
-    "Episode", "EvalReport", "FeatureExcitation", "FewShotSegmenter",
-    "FoldSplit", "FusionHead", "GraphReasoning", "Parameter", "ProtosegError",
-    "SGD", "SegMask", "Tape", "Tensor", "ablate", "apply_mask", "backward",
-    "bce_loss", "binarize", "build_adjacency", "default_classes",
-    "edge_similarity", "evaluate", "fb_iou", "from_descriptors",
-    "gcn_forward", "generate_sample", "grad_check", "gradcheck_model",
-    "guide", "iou", "kshot_average", "load_config", "load_network",
-    "make_folds", "mask_to_feature_grid", "masked_avg_pool", "miou",
-    "model_report", "normalized_laplacian", "parse_config", "sample_episode",
-    "save_checkpoint", "to_descriptors", "train",
-]

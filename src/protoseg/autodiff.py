@@ -57,79 +57,9 @@ class Tensor:
             raise UsageError("item() requires a single-element tensor, got shape %s" % (self.shape,))
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
             self.shape, self.data.dtype.name, self.requires_grad)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_coerce(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, power(other, -1.0))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    # -- shape and elementwise helpers --------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, *shape)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def clamp(self, lo=None, hi=None) -> "Tensor":
-        return clamp(self, lo, hi)
 
 
 class Tape:

@@ -32,7 +32,6 @@ class Config:
     graph_reasoning: bool = True
     excitation: bool = True
     edge_fusion: bool = True    # edge-similarity route (needs excitation)
-    pool_divide_by_l: bool = False
 
     def validate(self) -> "Config":
         if self.image_size < 16 or self.image_size % 4:
@@ -114,13 +113,3 @@ def config_from_dict(d: dict) -> Config:
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
     return Config(**d).validate()
-
-
-def render_config(config: Config) -> str:
-    lines = []
-    for f in fields(Config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append("%s = %s" % (f.name, value))
-    return "\n".join(lines) + "\n"

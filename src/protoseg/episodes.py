@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateEpisodeError, DimensionError
+from .errors import ConfigError, DegenerateEpisodeError
 from .fusion import bilinear_matrix
 from .seeding import derive_rng
-from .storage import read_tensor, write_tensor
 
 log = logging.getLogger(__name__)
 
@@ -342,9 +340,7 @@ def _grid_nonempty(mask: Tensor, grid_size: int) -> bool:
 
 
 def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
-                   image_size: int = 64,
-                   grid_size: Optional[int] = None,
-                   classes: Optional[Sequence[DefectClass]] = None) -> Episode:
+                   image_size: int = 64) -> Episode:
     """Draw one episode: a class uniformly from the requested fold role, K
     support pairs and one query pair with independent substyles and warps.
 
@@ -357,13 +353,12 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
         raise ConfigError("k must be >= 1, got %d" % k)
     if image_size % 4:
         raise ConfigError("image_size must be divisible by 4, got %d" % image_size)
-    table = {c.class_id: c for c in (classes or default_classes())}
+    table = {c.class_id: c for c in default_classes()}
     pool = split.train_class_ids if role == "train" else split.test_class_ids
     for cid in pool:
         if cid not in table:
             raise ConfigError("fold references unknown class id %d" % cid)
-    if grid_size is None:
-        grid_size = image_size // 4
+    grid_size = image_size // 4
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
 
@@ -395,31 +390,3 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
                    query_image=query_img,
                    query_mask=query_mask,
                    seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# on-disk samples
-
-
-def sample_paths(root, class_id: int, sample_id: str) -> tuple[Path, Path]:
-    d = Path(root) / str(int(class_id))
-    return d / ("%s.img.ltsr" % sample_id), d / ("%s.msk.ltsr" % sample_id)
-
-
-def save_sample(root, class_id: int, sample_id: str,
-                image: Tensor, mask: Tensor) -> None:
-    img_path, msk_path = sample_paths(root, class_id, sample_id)
-    img_path.parent.mkdir(parents=True, exist_ok=True)
-    write_tensor(img_path, image.data)
-    write_tensor(msk_path, mask.data)
-
-
-def load_sample(root, class_id: int, sample_id: str) -> tuple[Tensor, Tensor]:
-    img_path, msk_path = sample_paths(root, class_id, sample_id)
-    img = read_tensor(img_path)
-    mask = read_tensor(msk_path)
-    if img.ndim != 3:
-        raise DimensionError("stored image must be rank 3, got %s" % (img.shape,))
-    if mask.ndim != 2:
-        raise DimensionError("stored mask must be rank 2, got %s" % (mask.shape,))
-    return Tensor(img), Tensor(mask)

@@ -17,13 +17,12 @@ from .errors import ConfigError, DegenerateEpisodeError, DimensionError, Validat
 from .reasoning import COSINE_EPS, NORM_SQ_EPS
 from .seeding import derive_rng
 
+SPATIAL_KERNEL = 7          # width of the spatial attention conv
 
-def masked_avg_pool(x: DescriptorSet, grid: Tensor, divide_by_l: bool = False) -> Tensor:
-    """Average foreground descriptors into a (c, 1) guidance vector.
 
-    The sum is divided by the foreground cell count; divide_by_l swaps the
-    divisor for the full descriptor count l.
-    """
+def masked_avg_pool(x: DescriptorSet, grid: Tensor) -> Tensor:
+    """Average foreground descriptors into a (c, 1) guidance vector: the sum
+    over foreground cells divided by the foreground cell count."""
     if grid.data.ndim != 2 or grid.data.size != x.count:
         raise DimensionError("grid %s does not match descriptor count %d"
                              % (grid.shape, x.count))
@@ -35,8 +34,7 @@ def masked_avg_pool(x: DescriptorSet, grid: Tensor, divide_by_l: bool = False) -
                                      "resolution")
     flat = ad.reshape(grid, 1, x.count)
     summed = ad.tensor_sum(ad.mul(x.data, flat), axis=1, keepdims=True)
-    divisor = float(x.count) if divide_by_l else fg
-    return ad.mul(summed, 1.0 / divisor)
+    return ad.mul(summed, 1.0 / fg)
 
 
 def guide(pooled: Tensor, x_q: DescriptorSet) -> Tensor:
@@ -69,8 +67,7 @@ class FeatureExcitation:
     optional global-edge fusion route."""
 
     def __init__(self, channels: int, reduction: int, descriptor_count: int,
-                 edge_fusion: bool, seed: int, dtype=np.float32,
-                 spatial_kernel: int = 7):
+                 edge_fusion: bool, seed: int, dtype=np.float32):
         if channels % reduction:
             raise ConfigError("channels (%d) must divide by the reduction "
                               "ratio (%d)" % (channels, reduction))
@@ -91,7 +88,7 @@ class FeatureExcitation:
         self.expand_w, self.expand_b = dense("excitation.expand",
                                              channels, self.hidden, rng)
         rng = derive_rng(seed, "init", "excitation.spatial")
-        k = spatial_kernel
+        k = SPATIAL_KERNEL
         std = np.sqrt(2.0 / (channels * k * k))
         w = rng.normal(0.0, std, size=(1, channels, k, k)).astype(dtype)
         self.spatial_w = Parameter("excitation.spatial.weight", Tensor(w))
@@ -144,8 +141,8 @@ class FeatureExcitation:
         return ad.conv1d(stacked, self.fuse_w.value, self.fuse_b.value)
 
     def __call__(self, x_s: DescriptorSet, support_grid: Tensor,
-                 x_q: DescriptorSet, divide_by_l: bool = False) -> Tensor:
-        pooled = masked_avg_pool(x_s, support_grid, divide_by_l=divide_by_l)
+                 x_q: DescriptorSet) -> Tensor:
+        pooled = masked_avg_pool(x_s, support_grid)
         excited = self.channel_attention(guide(pooled, x_q))
         excited = self.spatial_attention(excited, x_q.height, x_q.width)
         if self.edge_fusion:

@@ -66,7 +66,10 @@ def bce_loss(pred: SegMask, target: Tensor) -> Tensor:
     if not np.all((target.data == 0.0) | (target.data == 1.0)):
         raise ValidationError("target mask must be binary")
     p = ad.clamp(pred.probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    ll = target * p.log() + (1.0 - target) * (1.0 - p).log()
+    hit = ad.mul(target, ad.log(p))
+    miss = ad.mul(ad.add(ad.mul(target, -1.0), 1.0),
+                  ad.log(ad.add(ad.mul(p, -1.0), 1.0)))
+    ll = ad.add(hit, miss)
     return ad.mul(ad.tensor_mean(ll), -1.0)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ from .seeding import derive_rng, derive_seed
 from .storage import read_checkpoint, write_checkpoint
 
 CHECKPOINT_FORMAT = "protoseg-checkpoint"
+# Bumped whenever the header or the parameter layout changes; load_network
+# accepts only this version.
+CHECKPOINT_VERSION = 2
 
 ABLATION_ROWS: tuple[tuple[str, dict], ...] = (
     ("reasoning", dict(graph_reasoning=True, excitation=False, edge_fusion=False)),
@@ -69,7 +73,7 @@ def save_checkpoint(path, net: FewShotSegmenter, epoch: int,
     params = net.parameters()
     header = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "epoch": epoch,
         "config": net.config.to_dict(),
         "rng": {"scheme": "seed-path", "root_seed": net.config.seed,
@@ -85,9 +89,15 @@ def save_checkpoint(path, net: FewShotSegmenter, epoch: int,
 
 def load_network(path, dtype=np.float32) -> tuple[FewShotSegmenter, dict]:
     header, arrays = read_checkpoint(path)
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError("format: expected %r, found %r"
-                          % (CHECKPOINT_FORMAT, header.get("format")))
+    for key, want in (("format", CHECKPOINT_FORMAT),
+                      ("version", CHECKPOINT_VERSION)):
+        if header.get(key) != want:
+            raise FormatError("%s: expected %r, found %r"
+                              % (key, want, header.get(key)))
+    if not isinstance(header.get("config"), dict):
+        raise FormatError("config: header field missing or not an object")
+    if not isinstance(header.get("epoch"), int):
+        raise FormatError("epoch: header field missing or not an integer")
     config = config_from_dict(header["config"])
     net = FewShotSegmenter(config, dtype)
     net.load_parameter_arrays(arrays)
@@ -244,7 +254,6 @@ def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
 
 
 def render_ablation(rows: list[dict]) -> str:
-    import json
     lines = []
     for row in rows:
         lines.append("row = %s" % row["row"])
@@ -342,19 +351,12 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
 
 def model_report(path) -> str:
     """Text report of a stored checkpoint: counts per module plus the config."""
-    import json
-    header, arrays = read_checkpoint(path)
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError("format: expected %r, found %r"
-                          % (CHECKPOINT_FORMAT, header.get("format")))
-    counts: dict[str, int] = {}
-    for name, arr in arrays.items():
-        counts[name.split(".", 1)[0]] = counts.get(name.split(".", 1)[0], 0) \
-            + arr.size
+    net, header = load_network(path)
+    counts = net.module_parameter_counts()
     lines = [
         "format = %s" % header["format"],
         "epoch = %d" % header["epoch"],
-        "parameter_count = %d" % sum(a.size for a in arrays.values()),
+        "parameter_count = %d" % net.parameter_count(),
     ]
     for module in sorted(counts):
         lines.append("%s_parameters = %d" % (module, counts[module]))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .config import Config
 from .encoder import (DescriptorSet, Encoder, apply_mask, kshot_average,
@@ -119,11 +118,8 @@ class FewShotSegmenter:
         x_s, union_grid = self.encode_support(episode)
         main = (self.reasoning(x_s, x_q) if self.reasoning is not None
                 else x_q.data)
-        if self.excitation is not None:
-            aux = self.excitation(x_s, union_grid, x_q,
-                                  divide_by_l=self.config.pool_divide_by_l)
-        else:
-            aux = x_q.data
+        aux = (self.excitation(x_s, union_grid, x_q)
+               if self.excitation is not None else x_q.data)
         return self.head(main, aux)
 
     def episode_loss(self, episode: Episode) -> tuple[Tensor, SegMask]:

@@ -1,4 +1,4 @@
-"""Flat binary tensor files (.ltsr) and multi-tensor checkpoint archives.
+"""Binary tensor records and the multi-tensor checkpoint files built from them.
 
 Layout of one tensor record, all integers little-endian:
 
@@ -32,8 +32,8 @@ _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def write_tensor(dest: Union[str, os.PathLike, BinaryIO], array: np.ndarray) -> None:
-    """Serialize one array. dest is a path or a binary stream."""
+def write_tensor(fh: BinaryIO, array: np.ndarray) -> None:
+    """Serialize one array onto a binary stream."""
     # np.ascontiguousarray would promote rank 0 to rank 1; asarray keeps it
     arr = np.asarray(array, order="C")
     dt = arr.dtype.newbyteorder("<")
@@ -49,26 +49,8 @@ def write_tensor(dest: Union[str, os.PathLike, BinaryIO], array: np.ndarray) -> 
     header += MAGIC
     header += bytes([VERSION, _DTYPE_CODES[dt], arr.ndim, 0])
     header += np.asarray(arr.shape, dtype="<u4").tobytes()
-    payload = arr.astype(dt, copy=False).tobytes(order="C")
-    if hasattr(dest, "write"):
-        dest.write(bytes(header))
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(bytes(header))
-            fh.write(payload)
-
-
-def read_tensor(src: Union[str, os.PathLike, BinaryIO]) -> np.ndarray:
-    """Read one tensor record; every header field is checked before the payload."""
-    if hasattr(src, "read"):
-        return _read_stream(src)
-    with open(src, "rb") as fh:
-        arr = _read_stream(fh)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("payload: trailing bytes after tensor record")
-        return arr
+    fh.write(bytes(header))
+    fh.write(arr.astype(dt, copy=False).tobytes(order="C"))
 
 
 def _take(fh: BinaryIO, n: int, field: str) -> bytes:
@@ -79,7 +61,10 @@ def _take(fh: BinaryIO, n: int, field: str) -> bytes:
     return buf
 
 
-def _read_stream(fh: BinaryIO) -> np.ndarray:
+def read_tensor(fh: BinaryIO) -> np.ndarray:
+    """Read one tensor record from a seekable binary stream. Every header
+    field is checked, and the payload size against the bytes left in the
+    stream, before the payload is read."""
     magic = _take(fh, 4, "magic")
     if magic != MAGIC:
         raise FormatError("magic: expected %r, found %r" % (MAGIC, magic))
@@ -93,10 +78,16 @@ def _read_stream(fh: BinaryIO) -> np.ndarray:
     extents = np.frombuffer(_take(fh, 4 * rank, "extents"), dtype="<u4")
     shape = tuple(int(e) for e in extents)
     dt = _CODE_DTYPES[dtype_code]
-    count = 1
+    nbytes = dt.itemsize
     for e in shape:
-        count *= e
-    payload = _take(fh, count * dt.itemsize, "payload")
+        nbytes *= e
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if nbytes > left:
+        raise FormatError("payload: extents %s need %d bytes, %d remain"
+                          % (shape, nbytes, left))
+    payload = _take(fh, nbytes, "payload")
     return np.frombuffer(payload, dtype=dt).reshape(shape).copy()
 
 
@@ -121,20 +112,24 @@ def write_checkpoint(path: Union[str, os.PathLike], header: dict,
 
 
 def read_checkpoint(path: Union[str, os.PathLike]) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise FormatError("header: missing newline-terminated JSON header")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError("header: %s" % e) from e
-        names = header.get("parameters")
-        if not isinstance(names, list):
-            raise FormatError("parameters: header field missing or not a list")
-        arrays = {}
-        for name in names:
-            arrays[name] = _read_stream(fh)
-        if fh.read(1):
-            raise FormatError("payload: trailing bytes after final tensor record")
+    """Header object plus every listed array; bytes after the last record
+    are rejected."""
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise FormatError("header: missing newline-terminated JSON header")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError("header: %s" % e) from e
+    if not isinstance(header, dict):
+        raise FormatError("header: expected a JSON object, found %s"
+                          % type(header).__name__)
+    names = header.get("parameters")
+    if not isinstance(names, list):
+        raise FormatError("parameters: header field missing or not a list")
+    arrays = {name: read_tensor(fh) for name in names}
+    if fh.read(1):
+        raise FormatError("payload: trailing bytes after final tensor record")
     return header, arrays

@@ -57,7 +57,7 @@ def naive_conv2d(x, w, b, stride=1):
     return out
 
 
-def naive_masked_pool(x, grid, divide_by_l=False):
+def naive_masked_pool(x, grid):
     c, l = x.shape
     flat = grid.reshape(-1)
     acc = np.zeros(c)
@@ -65,8 +65,7 @@ def naive_masked_pool(x, grid, divide_by_l=False):
         for j in range(l):
             if flat[j] == 1.0:
                 acc[i] += x[i, j]
-    div = l if divide_by_l else flat.sum()
-    return (acc / div).reshape(c, 1)
+    return (acc / flat.sum()).reshape(c, 1)
 
 
 def naive_cosine_rows(g):

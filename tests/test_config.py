@@ -1,9 +1,8 @@
-"""Config parsing, validation, rendering round trip."""
+"""Config parsing and validation."""
 
 import pytest
 
-from protoseg.config import (Config, config_from_dict, load_config,
-                             parse_config, render_config)
+from protoseg.config import Config, config_from_dict, load_config, parse_config
 from protoseg.errors import ConfigError
 
 
@@ -38,8 +37,8 @@ def test_parse_basic_and_comments():
     ("TRUE", True), ("Off", False),
 ])
 def test_bool_forms(raw, expected):
-    cfg = parse_config("pool_divide_by_l = %s" % raw)
-    assert cfg.pool_divide_by_l is expected
+    cfg = parse_config("edge_fusion = %s" % raw)
+    assert cfg.edge_fusion is expected
 
 
 def test_parse_errors_carry_line_numbers():
@@ -88,13 +87,6 @@ def test_config_from_dict_rejects_unknown():
         config_from_dict({"episodes": 3})
     cfg = config_from_dict({"epochs": 2, "seed": 9})
     assert cfg.epochs == 2 and cfg.seed == 9
-
-
-def test_render_parse_round_trip():
-    cfg = Config(image_size=32, epochs=7, learning_rate=0.005,
-                 graph_reasoning=False, edge_fusion=False)
-    again = parse_config(render_config(cfg))
-    assert again == cfg
 
 
 def test_load_config_file(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 
 from protoseg.episodes import (DefectClass, DistortionParams, Episode,
                                FoldSplit, default_classes, generate_sample,
-                               load_sample, make_folds, sample_episode,
-                               sample_paths, save_sample, warp_mask)
+                               make_folds, sample_episode, warp_mask)
 from protoseg.errors import ConfigError, DegenerateEpisodeError
 
 CLASSES = default_classes()
@@ -217,18 +216,3 @@ def test_episode_validation():
         sample_episode(SPLIT, "train", 0, 0, 32)
     with pytest.raises(ConfigError):
         sample_episode(SPLIT, "train", 1, 0, 30)  # not divisible by 4
-
-
-# ---------------------------------------------------------------------------
-# sample store
-
-
-def test_save_load_round_trip(tmp_path):
-    img, msk = generate_sample(CLASSES[2], 0, IDENT, seed=21, image_size=32)
-    save_sample(tmp_path, 2, "s0021", img, msk)
-    ipath, mpath = sample_paths(tmp_path, 2, "s0021")
-    assert ipath.exists() and mpath.exists()
-    assert ipath.parent.name == "2"
-    back_img, back_msk = load_sample(tmp_path, 2, "s0021")
-    assert np.array_equal(back_img.data, img.data)
-    assert np.array_equal(back_msk.data, msk.data)

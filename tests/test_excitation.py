@@ -19,7 +19,7 @@ def rand_ds(channels, h, w, seed, dtype=np.float64, grad=False):
     return DescriptorSet(data, h, w)
 
 
-def naive_masked_pool(x, grid, divide_by_l):
+def naive_masked_pool(x, grid):
     c, l = x.shape
     flat = grid.reshape(-1)
     acc = np.zeros(c)
@@ -27,24 +27,22 @@ def naive_masked_pool(x, grid, divide_by_l):
         for j in range(l):
             if flat[j] == 1.0:
                 acc[i] += x[i, j]
-    div = l if divide_by_l else flat.sum()
-    return (acc / div).reshape(c, 1)
+    return (acc / flat.sum()).reshape(c, 1)
 
 
 # ---------------------------------------------------------------------------
 # masked pooling
 
 
-@pytest.mark.parametrize("divide_by_l", [False, True])
 @pytest.mark.parametrize("seed", range(10))
-def test_masked_pool_matches_naive(seed, divide_by_l):
+def test_masked_pool_matches_naive(seed):
     rng = np.random.default_rng(seed)
     ds = rand_ds(4, 3, 3, seed)
     grid = (rng.random((3, 3)) > 0.4).astype(np.float64)
     if grid.sum() == 0:
         grid[1, 1] = 1.0
-    got = masked_avg_pool(ds, Tensor(grid), divide_by_l=divide_by_l).data
-    want = naive_masked_pool(ds.data.data, grid, divide_by_l)
+    got = masked_avg_pool(ds, Tensor(grid)).data
+    want = naive_masked_pool(ds.data.data, grid)
     assert got.shape == (4, 1)
     assert np.abs(got - want).max() < 1e-12
 
@@ -71,15 +69,6 @@ def test_masked_pool_rejects_size_mismatch():
     ds = rand_ds(3, 2, 2, 4)
     with pytest.raises(DimensionError):
         masked_avg_pool(ds, Tensor(np.ones((3, 2))))
-
-
-def test_masked_pool_divisor_semantics():
-    ds = DescriptorSet(Tensor(np.ones((2, 4), dtype=np.float64)), 2, 2)
-    grid = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    by_fg = masked_avg_pool(ds, grid).data
-    by_l = masked_avg_pool(ds, grid, divide_by_l=True).data
-    assert np.allclose(by_fg, 1.0)
-    assert np.allclose(by_l, 0.5)
 
 
 def test_guide_broadcasts_channelwise():

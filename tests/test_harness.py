@@ -1,5 +1,7 @@
 """Optimizer, training loop, checkpoints, evaluation, ablation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,37 @@ def test_load_network_rejects_foreign_file(tmp_path):
                      {"x": np.zeros(1, dtype=np.float32)})
     with pytest.raises(FormatError):
         load_network(path)
+
+
+def _edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header line through edit(header)."""
+    line, _, records = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":"))
+                     .encode() + b"\n" + records)
+
+
+def test_load_network_rejects_other_version(tmp_path):
+    path = save_checkpoint(tmp_path / "v1.ckpt", FewShotSegmenter(TINY), 0, 0)
+
+    def as_version_1(header):
+        header["version"] = 1
+        header["config"]["pool_divide_by_l"] = False
+
+    _edit_header(path, as_version_1)
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value).startswith("version:")
+
+
+@pytest.mark.parametrize("key", ["config", "epoch"])
+def test_load_network_requires_header_field(tmp_path, key):
+    path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
+    _edit_header(path, lambda header: header.pop(key))
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value).startswith(key + ":")
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ from protoseg.storage import (read_checkpoint, read_tensor, write_checkpoint,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 4), (2, 3, 4), (1, 2, 3, 4)])
-def test_tensor_round_trip(tmp_path, dtype, shape):
+def test_tensor_round_trip(dtype, shape):
     rng = np.random.default_rng(hash(shape) % 100)
     arr = rng.normal(size=shape).astype(dtype)
-    path = tmp_path / "t.ltsr"
-    write_tensor(path, arr)
-    back = read_tensor(path)
+    buf = io.BytesIO()
+    write_tensor(buf, arr)
+    buf.seek(0)
+    back = read_tensor(buf)
     assert back.dtype == arr.dtype
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)
+    assert buf.read() == b""
 
 
 def test_tensor_round_trip_stream():
@@ -32,9 +34,9 @@ def test_tensor_round_trip_stream():
     assert np.array_equal(read_tensor(buf), arr)
 
 
-def test_write_rejects_unsupported_dtype(tmp_path):
+def test_write_rejects_unsupported_dtype():
     with pytest.raises(FormatError):
-        write_tensor(tmp_path / "x.ltsr", np.zeros(3, dtype=np.int64))
+        write_tensor(io.BytesIO(), np.zeros(3, dtype=np.int64))
 
 
 def _record_bytes(arr):
@@ -81,16 +83,6 @@ def test_truncated_extents():
 def test_truncated_payload():
     raw = _record_bytes(np.ones((2, 2), dtype=np.float32))
     _expect_corrupt(raw[:-3], "payload")
-
-
-def test_trailing_garbage(tmp_path):
-    path = tmp_path / "t.ltsr"
-    write_tensor(path, np.ones((2, 2), dtype=np.float32))
-    with open(path, "ab") as fh:
-        fh.write(b"junk")
-    with pytest.raises(FormatError) as err:
-        read_tensor(path)
-    assert "trailing" in str(err.value)
 
 
 def test_payload_is_row_major():
@@ -158,6 +150,39 @@ def test_checkpoint_corrupt_record(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_checkpoint(path)
+
+
+def test_trailing_garbage(tmp_path):
+    path, _, _ = _sample_ckpt(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b"junk")
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert "trailing" in str(err.value)
+
+
+def test_checkpoint_header_must_be_object(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(b"[1, 2]\n")
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert "header" in str(err.value)
+
+
+@pytest.mark.parametrize("saturated", [1, 4])
+def test_checkpoint_oversized_extents(tmp_path, saturated):
+    # Extents of 2^32 - 1: one asks for a 16 GB payload, four for more
+    # bytes than a C size can hold. Both must be caught before the read.
+    path = tmp_path / "big.ckpt"
+    write_checkpoint(path, {"parameters": ["w"]},
+                     {"w": np.ones((1, 1, 1, 1), dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    extents = raw.index(b"\n") + 1 + 8
+    raw[extents:extents + 4 * saturated] = b"\xff" * (4 * saturated)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert "payload" in str(err.value)
 
 
 def test_checkpoint_missing_header(tmp_path):
