@@ -426,6 +426,8 @@ def conv1d(x, weight, bias=None) -> Tensor:
         _accumulate(weight, (g @ cols.T).reshape(weight.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=1).reshape(bias.shape))
+        if not x.requires_grad:
+            return
         gcols = (w2.T @ g).reshape(c_in, k, length)
         gxp = np.zeros_like(xp)
         for t in range(k):
@@ -455,11 +457,15 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
     pad = (k - 1) // 2
     hh = (h + 2 * pad - k) // stride + 1
     ww = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]              # (c_in, hh, ww, k, k)
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
-    cols = cols.reshape(c_in * k * k, hh * ww)
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    # Columns: (c_in * k * k, hh * ww), one column per output position;
+    # tap (di, dj) of output (i, j) reads xp[:, stride * i + di, stride * j + dj].
+    sc, sy, sx = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c_in, k, k, hh, ww), (sc, sy, sx, stride * sy, stride * sx),
+        writeable=False)
+    cols = np.ascontiguousarray(win).reshape(c_in * k * k, hh * ww)
     w2 = weight.data.reshape(c_out, c_in * k * k)
     y = w2 @ cols
     parents = [x, weight]
@@ -477,6 +483,8 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
         _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
         if bias is not None:
             _accumulate(bias, g2.sum(axis=1).reshape(bias.shape))
+        if not x.requires_grad:
+            return
         gcols = (w2.T @ g2).reshape(c_in, k, k, hh, ww)
         gxp = np.zeros_like(xp)
         for di in range(k):

@@ -108,8 +108,25 @@ def load_config(path) -> Config:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _check_type(key: str, value) -> None:
+    # bool is a subclass of int, so it is refused explicitly for numbers.
+    ftype = _FIELD_TYPES[key]
+    if ftype in (bool, "bool"):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif ftype in (int, "int"):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        want = "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        want = "a number"
+    if not ok:
+        raise ConfigError("key %r: %r is not %s" % (key, value, want))
+
+
 def config_from_dict(d: dict) -> Config:
     unknown = set(d) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
+    for key, value in d.items():
+        _check_type(key, value)
     return Config(**d).validate()

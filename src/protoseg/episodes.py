@@ -10,15 +10,17 @@ warped with nearest-neighbor lookup so it stays strictly binary.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
+from .bilinear import bilinear_matrix
 from .errors import ConfigError, DegenerateEpisodeError
-from .fusion import bilinear_matrix
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -56,7 +58,7 @@ class DefectClass:
     rotation_max: float              # radians
     scale_range: tuple[float, float]
     perspective_max: float
-    substyles: tuple[dict, ...] = field(default=())
+    substyles: tuple[Mapping, ...] = field(default=())
 
     def validate_distortion(self, d: DistortionParams) -> None:
         if abs(d.rotation) > self.rotation_max + 1e-9:
@@ -71,9 +73,11 @@ class DefectClass:
                               % self.perspective_max)
 
 
+@functools.cache
 def default_classes() -> tuple[DefectClass, ...]:
     """The fixed 12-class corpus. Parameters derive from a constant seed, so
-    the corpus is identical for every caller."""
+    the corpus is identical for every caller; it is built once and shared,
+    with read-only substyles."""
     families = ("scratch", "patch", "pits")
     out = []
     for cid in range(12):
@@ -122,7 +126,7 @@ def default_classes() -> tuple[DefectClass, ...]:
             rotation_max=float(np.deg2rad(10.0 + 10.0 * rng.random())),
             scale_range=(0.85, 1.2),
             perspective_max=0.10,
-            substyles=substyles,
+            substyles=tuple(MappingProxyType(s) for s in substyles),
         ))
     return tuple(out)
 
@@ -131,9 +135,16 @@ def default_classes() -> tuple[DefectClass, ...]:
 # rendering
 
 
+@functools.cache
+def _noise_matrix(size: int, src: int) -> np.ndarray:
+    m = bilinear_matrix(size, src)
+    m.flags.writeable = False
+    return m
+
+
 def _value_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
     coarse = rng.uniform(-1.0, 1.0, size=(cells + 1, cells + 1))
-    m = bilinear_matrix(size, cells + 1)
+    m = _noise_matrix(size, cells + 1)
     return m @ coarse @ m.T
 
 
@@ -150,18 +161,28 @@ def _texture(rng: np.random.Generator, cls: DefectClass, size: int) -> np.ndarra
 
 
 def _paint_discs(mask: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> None:
+    """Set every pixel (y, x) with (y - cy)**2 + (x - cx)**2 <= r*r for some
+    disc, all discs at once.
+
+    Each disc tests a square window of pixels around its center, truncated
+    toward zero. A pixel within r of a center lies within ceil(r) + 1 of
+    its truncation, so a window of reach ceil(max r) + 1 holds every hit.
+    """
     size = mask.shape[0]
-    for (cy, cx), r in zip(centers, radii):
-        ri = int(np.ceil(r))
-        y0, y1 = max(0, int(cy) - ri - 1), min(size, int(cy) + ri + 2)
-        x0, x1 = max(0, int(cx) - ri - 1), min(size, int(cx) + ri + 2)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        yy, xx = np.mgrid[y0:y1, x0:x1]
-        mask[y0:y1, x0:x1] |= (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+    reach = int(np.ceil(radii.max())) + 1
+    offsets = np.arange(-reach, reach + 1)
+    ys = centers[:, 0].astype(int)[:, None] + offsets     # (n, window)
+    xs = centers[:, 1].astype(int)[:, None] + offsets
+    dy2 = (ys - centers[:, :1]) ** 2
+    dx2 = (xs - centers[:, 1:]) ** 2
+    hit = dy2[:, :, None] + dx2[:, None, :] <= (radii * radii)[:, None, None]
+    hit &= ((ys >= 0) & (ys < size))[:, :, None]
+    hit &= ((xs >= 0) & (xs < size))[:, None, :]
+    disc, iy, ix = np.nonzero(hit)
+    mask[ys[disc, iy], xs[disc, ix]] = True
 
 
-def _draw_scratch(rng, size: int, style: dict) -> np.ndarray:
+def _draw_scratch(rng, size: int, style: Mapping) -> np.ndarray:
     mask = np.zeros((size, size), dtype=bool)
     pos = rng.uniform(0.2, 0.8, size=2) * size
     angle = rng.uniform(0, 2 * np.pi)
@@ -171,17 +192,16 @@ def _draw_scratch(rng, size: int, style: dict) -> np.ndarray:
         angle += rng.normal(0.0, style["wobble"])
         pos = pos + seg_len * np.array([np.sin(angle), np.cos(angle)])
         pts.append(pos.copy())
-    centers = []
+    segments = []
     for a, b in zip(pts[:-1], pts[1:]):
         n = max(2, int(np.linalg.norm(b - a) / 0.5))
-        for t in np.linspace(0.0, 1.0, n):
-            centers.append(a + t * (b - a))
-    centers = np.array(centers)
+        segments.append(a + np.linspace(0.0, 1.0, n)[:, None] * (b - a))
+    centers = np.concatenate(segments)
     _paint_discs(mask, centers, np.full(len(centers), style["thickness"]))
     return mask
 
 
-def _draw_patch(rng, size: int, style: dict) -> np.ndarray:
+def _draw_patch(rng, size: int, style: Mapping) -> np.ndarray:
     center = rng.uniform(0.3, 0.7, size=2) * size
     # The floor keeps small renders (toy 16x16 images) visible on the 4x4-px
     # pooling windows of the quarter-resolution feature grid.
@@ -197,7 +217,7 @@ def _draw_patch(rng, size: int, style: dict) -> np.ndarray:
     return dy * dy + dx * dx <= rho * rho
 
 
-def _draw_pits(rng, size: int, style: dict) -> np.ndarray:
+def _draw_pits(rng, size: int, style: Mapping) -> np.ndarray:
     mask = np.zeros((size, size), dtype=bool)
     base = rng.uniform(0.35, 0.65, size=2) * size
     spread = style["spread"] * size
@@ -332,6 +352,11 @@ class Episode:
         return len(self.support_images)
 
 
+@functools.cache
+def _class_table() -> Mapping[int, DefectClass]:
+    return MappingProxyType({c.class_id: c for c in default_classes()})
+
+
 def _grid_nonempty(mask: Tensor, grid_size: int) -> bool:
     size = mask.shape[0]
     fh = size // grid_size
@@ -353,7 +378,7 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
         raise ConfigError("k must be >= 1, got %d" % k)
     if image_size % 4:
         raise ConfigError("image_size must be divisible by 4, got %d" % image_size)
-    table = {c.class_id: c for c in default_classes()}
+    table = _class_table()
     pool = split.train_class_ids if role == "train" else split.test_class_ids
     for cid in pool:
         if cid not in table:

@@ -100,3 +100,13 @@ def naive_iou(p, t):
     inter = sum(int(a and b) for a, b in zip(p.flat, t.flat))
     union = sum(int(a or b) for a, b in zip(p.flat, t.flat))
     return 1.0 if union == 0 else inter / union
+
+
+def naive_paint_discs(size, centers, radii):
+    mask = np.zeros((size, size), dtype=bool)
+    for y in range(size):
+        for x in range(size):
+            for (cy, cx), r in zip(centers, radii):
+                if (y - cy) ** 2 + (x - cx) ** 2 <= r * r:
+                    mask[y, x] = True
+    return mask

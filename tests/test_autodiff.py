@@ -318,6 +318,35 @@ def test_conv1d_gradients():
     assert grad_check(f, [x, w, b], eps=1e-6) < 1e-8
 
 
+@pytest.mark.parametrize("conv,x_shape,w_shape,stride", [
+    ("conv2d", (2, 5, 5), (3, 2, 3, 3), 2),
+    ("conv2d", (2, 6, 6), (3, 2, 1, 1), 1),
+    ("conv1d", (3, 7), (2, 3, 5), None),
+])
+def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
+                                                        stride):
+    # An input without requires_grad (an image) gets no gradient; the
+    # weight and bias gradients are the same bits either way.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=x_shape)
+    w = param("w", rng.normal(size=w_shape))
+    b = param("b", rng.normal(size=w_shape[:1]))
+    kwargs = {} if stride is None else {"stride": stride}
+    grads = {}
+    for x_grad in (True, False):
+        w.zero_grad()
+        b.zero_grad()
+        xt = t64(x, grad=x_grad)
+        with Tape() as tape:
+            y = getattr(ad, conv)(xt, w.value, b.value, **kwargs)
+            out = ad.tensor_mean(ad.power(y, 2.0))
+        backward(tape, out)
+        assert (xt.grad is not None) == x_grad
+        grads[x_grad] = (w.grad.copy(), b.grad.copy())
+    for with_x, without_x in zip(grads[True], grads[False]):
+        assert np.array_equal(with_x, without_x)
+
+
 def test_concat_gradients():
     rng = np.random.default_rng(9)
     a = param("a", rng.normal(size=(2, 3)))

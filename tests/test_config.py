@@ -89,6 +89,26 @@ def test_config_from_dict_rejects_unknown():
     assert cfg.epochs == 2 and cfg.seed == 9
 
 
+@pytest.mark.parametrize("key,value", [
+    ("channels", "8"),            # int from a string
+    ("channels", 8.0),            # int from a float
+    ("channels", True),           # bool is not an int
+    ("graph_reasoning", "yes"),   # bool from a string
+    ("graph_reasoning", 1),       # bool from an int
+    ("learning_rate", "0.01"),    # float from a string
+    ("learning_rate", False),     # bool is not a number
+])
+def test_config_from_dict_rejects_wrong_type(key, value):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({key: value})
+    assert repr(key) in str(err.value)
+
+
+def test_config_from_dict_float_accepts_int():
+    cfg = config_from_dict({"learning_rate": 1, "momentum": 0.5})
+    assert cfg.learning_rate == 1 and cfg.momentum == 0.5
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("image_size = 32\nseed = 3\n")

@@ -1,12 +1,17 @@
 """Synthetic corpus: rendering determinism, warps, folds, episode protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from protoseg.episodes import (DefectClass, DistortionParams, Episode,
-                               FoldSplit, default_classes, generate_sample,
-                               make_folds, sample_episode, warp_mask)
+                               FoldSplit, _paint_discs, default_classes,
+                               generate_sample, make_folds, sample_episode,
+                               warp_mask)
 from protoseg.errors import ConfigError, DegenerateEpisodeError
+
+from oracles import naive_paint_discs
 
 CLASSES = default_classes()
 IDENT = DistortionParams(rotation=0.0, scale=1.0, perspective_x=0.0,
@@ -29,6 +34,12 @@ def test_corpus_is_constant_across_calls():
     again = default_classes()
     for a, b in zip(CLASSES, again):
         assert a == b
+
+
+def test_corpus_is_shared_and_read_only():
+    assert default_classes() is CLASSES
+    with pytest.raises(TypeError):
+        CLASSES[0].substyles[0]["segments"] = 1
 
 
 def test_generate_sample_deterministic_bit_exact():
@@ -216,3 +227,42 @@ def test_episode_validation():
         sample_episode(SPLIT, "train", 0, 0, 32)
     with pytest.raises(ConfigError):
         sample_episode(SPLIT, "train", 1, 0, 30)  # not divisible by 4
+
+
+# Every episode the golden set renders, hashed in order. Rendering must stay
+# bit-identical: a change to it changes training trajectories and every
+# reported number, so this digest only changes together with them.
+GOLDEN_EPISODE_DIGEST = (
+    "ff9b919d6b003e3f3c6099254dd41e7c2205c0f1c6ae4b59b2c88b75ccf044ee")
+
+
+def test_golden_episode_digest():
+    digest = hashlib.sha256()
+    families = set()
+    for test_fold in range(3):
+        split = make_folds(tuple(range(12)), seed=0, test_fold=test_fold)
+        for role in ("train", "test"):
+            for k in (1, 5):
+                for size in (32, 64):
+                    seed = 1000 * test_fold + 10 * k + size
+                    ep = sample_episode(split, role, k, seed, size)
+                    families.add(CLASSES[ep.class_id].family)
+                    digest.update(np.int64(ep.class_id).tobytes())
+                    for t in (*ep.support_images, *ep.support_masks,
+                              ep.query_image, ep.query_mask):
+                        digest.update(t.data.tobytes())
+    assert families == {"scratch", "patch", "pits"}
+    assert digest.hexdigest() == GOLDEN_EPISODE_DIGEST
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_paint_discs_matches_naive(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(8, 24))
+    n = int(rng.integers(1, 12))
+    # Centers reach past both edges, including negative coordinates.
+    centers = rng.uniform(-6.0, size + 6.0, size=(n, 2))
+    radii = rng.uniform(0.2, 7.0, size=n)
+    mask = np.zeros((size, size), dtype=bool)
+    _paint_discs(mask, centers, radii)
+    assert np.array_equal(mask, naive_paint_discs(size, centers, radii))

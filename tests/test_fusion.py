@@ -6,8 +6,8 @@ import pytest
 import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
 from protoseg.errors import DimensionError, ValidationError
-from protoseg.fusion import (FusionHead, SegMask, bce_loss, bilinear_matrix,
-                             binarize)
+from protoseg.bilinear import bilinear_matrix
+from protoseg.fusion import FusionHead, SegMask, bce_loss, binarize
 
 
 # ---------------------------------------------------------------------------

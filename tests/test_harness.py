@@ -158,6 +158,14 @@ def test_load_network_requires_header_field(tmp_path, key):
     assert str(err.value).startswith(key + ":")
 
 
+def test_load_network_rejects_mistyped_config_value(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
+    _edit_header(path, lambda header: header["config"].update(channels="8"))
+    with pytest.raises(ConfigError) as err:
+        load_network(path)
+    assert "'channels'" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
