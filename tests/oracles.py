@@ -110,3 +110,25 @@ def naive_paint_discs(size, centers, radii):
                 if (y - cy) ** 2 + (x - cx) ** 2 <= r * r:
                     mask[y, x] = True
     return mask
+
+
+def scatter_conv2d_input_grad(x, weight, g, stride):
+    """Input gradient of a same-padded conv2d as one GEMM to columns and a
+    k*k-tap scatter-add onto a zero-initialised padded canvas: the col2im
+    that `autodiff.conv2d` used before its phase-plane rewrite, kept
+    verbatim as the bit-identity reference."""
+    c_out, c_in, k, _ = weight.shape
+    _, h, w = x.shape
+    pad = (k - 1) // 2
+    hh = (h + 2 * pad - k) // stride + 1
+    ww = (w + 2 * pad - k) // stride + 1
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    w2 = weight.reshape(c_out, c_in * k * k)
+    g2 = g.reshape(c_out, hh * ww)
+    gcols = (w2.T @ g2).reshape(c_in, k, k, hh, ww)
+    gxp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            gxp[:, di:di + stride * hh:stride, dj:dj + stride * ww:stride] \
+                += gcols[:, di, dj]
+    return gxp[:, pad:pad + h, pad:pad + w] if pad else gxp

@@ -8,6 +8,8 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor, Tape, Parameter, backward, grad_check
 from protoseg.errors import ConfigError, DimensionError, UsageError
 
+from oracles import scatter_conv2d_input_grad
+
 
 def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
@@ -345,6 +347,55 @@ def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
         grads[x_grad] = (w.grad.copy(), b.grad.copy())
     for with_x, without_x in zip(grads[True], grads[False]):
         assert np.array_equal(with_x, without_x)
+
+
+# Every conv2d shape of a desk training episode, then strides and extents
+# the model does not use. Shapes: x (c_in, h, w), weight (c_out, c_in, k, k).
+COL2IM_CASES = [
+    ((3, 64, 64), (16, 3, 3, 3), 1, np.float32),      # encoder block 0
+    ((16, 64, 64), (16, 16, 3, 3), 2, np.float32),    # encoder, stride 2
+    ((16, 32, 32), (16, 16, 3, 3), 1, np.float32),    # encoder
+    ((16, 32, 32), (32, 16, 3, 3), 2, np.float32),    # encoder, stride 2
+    ((16, 16, 16), (32, 16, 3, 3), 1, np.float32),    # reasoning reflect
+    ((64, 16, 16), (64, 64, 3, 3), 1, np.float32),    # fusion head
+    ((32, 16, 16), (1, 32, 7, 7), 1, np.float32),     # spatial gate
+    ((64, 16, 16), (1, 64, 1, 1), 1, np.float32),     # classifier
+    ((3, 11, 10), (4, 3, 5, 5), 3, np.float32),
+    ((2, 7, 9), (3, 2, 3, 3), 2, np.float64),
+    ((3, 8, 13), (2, 3, 5, 5), 3, np.float64),
+    ((5, 9, 6), (1, 5, 7, 7), 2, np.float64),
+    ((4, 6, 5), (3, 4, 1, 1), 2, np.float64),
+    ((6, 12, 12), (5, 6, 3, 3), 1, np.float64),
+    # A 1-position output grid.
+    ((2, 1, 1), (3, 2, 3, 3), 1, np.float64),
+    ((3, 2, 2), (2, 3, 3, 3), 2, np.float64),
+]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,dtype", COL2IM_CASES)
+def test_conv2d_input_grad_matches_scatter_oracle(x_shape, w_shape, stride,
+                                                  dtype):
+    # The phase-plane col2im adds the same taps in the same (di, dj) order
+    # as the k*k scatter it replaced, so the bytes must agree, signed zeros
+    # included.
+    rng = np.random.default_rng(sum(x_shape) + 10 * sum(w_shape) + stride)
+    x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape).astype(dtype), requires_grad=True)
+    with Tape() as tape:
+        y = ad.conv2d(x, w, stride=stride)
+        g = rng.normal(size=y.shape).astype(dtype)
+        out = ad.tensor_sum(ad.mul(y, Tensor(g)))
+    backward(tape, out)
+    want = np.ascontiguousarray(scatter_conv2d_input_grad(x.data, w.data, g,
+                                                          stride))
+    assert x.grad.dtype == want.dtype and x.grad.shape == want.shape
+    if y.shape[1:] == (1, 1):
+        # With one output position the scatter's column product was a BLAS
+        # matrix-vector call, whose summation order need not match the
+        # matrix-matrix product; float64 results may differ in the last bit.
+        assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        assert x.grad.tobytes() == want.tobytes()
 
 
 def test_concat_gradients():
