@@ -136,9 +136,15 @@ def _record(out: Tensor, parents: Sequence[Tensor], backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise DimensionError("gradient of shape %s for a tensor of shape %s"
+                             % (g.shape, t.data.shape))
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # One pass, and the same bits as adding g onto zeros: x + 0 turns
+        # -0.0 into +0.0. The result never aliases g.
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -178,8 +184,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -191,8 +199,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -222,8 +232,8 @@ def sigmoid(a) -> Tensor:
     a = _coerce(a)
     # Split by sign so neither branch exponentiates a large positive number.
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s.astype(x.dtype, copy=False))
 
     def backward(g: np.ndarray) -> None:
@@ -278,8 +288,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g
         if not keepdims and axes is not None:
             gg = np.expand_dims(gg, axes)
-        _accumulate(a, np.broadcast_to(gg, a.shape).copy() if gg.shape != a.shape
-                    else gg)
+        _accumulate(a, np.broadcast_to(gg, a.shape))
 
     return _record(out, (a,), backward)
 
@@ -382,8 +391,10 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
 
@@ -406,10 +417,14 @@ def conv1d(x, weight, bias=None) -> Tensor:
     _check_kernel(k)
     length = x.shape[1]
     pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    # Columns: (c_in * k, l), one column per output position.
-    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(c_in * k, length)
+    xp = np.zeros((c_in, length + 2 * pad), dtype=x.data.dtype)
+    xp[:, pad:pad + length] = x.data
+    # Columns: (c_in * k, l), one column per output position;
+    # tap t of output i reads xp[:, i + t].
+    sc, sl = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (c_in, k, length), (sc, sl, sl),
+                                          writeable=False)
+    cols = np.ascontiguousarray(win).reshape(c_in * k, length)
     w2 = weight.data.reshape(c_out, c_in * k)
     y = w2 @ cols
     parents = [x, weight]
@@ -485,15 +500,59 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
             _accumulate(bias, g2.sum(axis=1).reshape(bias.shape))
         if not x.requires_grad:
             return
-        gcols = (w2.T @ g2).reshape(c_in, k, k, hh, ww)
-        gxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, di:di + stride * hh:stride, dj:dj + stride * ww:stride] \
-                    += gcols[:, di, dj]
-        _accumulate(x, gxp[:, pad:pad + h, pad:pad + w] if pad else gxp)
+        _accumulate(x, _col2im(g, weight.data, x.shape, xp.dtype, stride))
 
     return _record(out, tuple(parents), backward)
+
+
+def _col2im(g: np.ndarray, weight: np.ndarray, x_shape: tuple[int, int, int],
+            dtype, stride: int) -> np.ndarray:
+    """conv2d's input gradient, (c_in, h, w), from the output gradient g.
+
+    Tap (di, dj) of output (i, j) adds weight[:, :, di, dj].T @ g[:, i, j]
+    to the padded input at (stride*i + di, stride*j + dj). Padded (y, x)
+    lives in phase plane (y % s, x % s) at (y // s, x // s), with row pitch
+    wq. Laid out on that pitch, with every channel rows * wq long, tap
+    (di, dj) of all outputs and channels is one contiguous run starting
+    (di // s) * wq + dj // s into its plane, so each tap is a single add.
+
+    Every element receives its taps in (di, dj) order onto +0.0, as a
+    tap-by-tap scatter adds them. For finite weights the layout's padding
+    columns add signed zeros, and a sum started at +0.0 never turns into
+    -0.0, so they change no bit; likewise the broadcast product used for
+    c_out == 1 (a K=1 GEMM in BLAS) differs from the GEMM only in the sign
+    of zeros.
+    """
+    c_out, c_in, k, _ = weight.shape
+    _, hh, ww = g.shape
+    _, h, w = x_shape
+    pad = (k - 1) // 2
+    s = stride
+    wq = -(-(w + 2 * pad) // s)
+    reach = (k - 1) // s
+    rows = hh + reach + 1          # every plane covers the padded input
+    n = c_in * rows * wq
+    gq = np.zeros((c_out, rows, wq), dtype=g.dtype)
+    gq[:, :hh, :ww] = g
+    gq = gq.reshape(c_out, rows * wq)
+    wt = weight.transpose(2, 3, 1, 0).reshape(k, k * c_in, c_out)
+    # A run starts up to reach * wq + reach in, so it ends that far past
+    # the n elements of its plane; that tail receives only padding.
+    planes = np.zeros((s, s, n + reach * wq + reach), dtype=dtype)
+    # One kernel row of taps at a time, into one reused buffer.
+    taps = np.empty((k * c_in, rows * wq), dtype=np.result_type(wt, gq))
+    runs = taps.reshape(k, n)
+    product = np.multiply if c_out == 1 else np.matmul
+    for di in range(k):
+        product(wt[di], gq, out=taps)
+        for dj in range(k):
+            at = (di // s) * wq + dj // s
+            planes[di % s, dj % s, at:at + n] += runs[dj]
+    padded = np.empty((c_in, rows * s, wq * s), dtype=dtype)
+    for a in range(s):
+        for b in range(s):
+            padded[:, a::s, b::s] = planes[a, b, :n].reshape(c_in, rows, wq)
+    return padded[:, pad:pad + h, pad:pad + w]
 
 
 def avg_pool_global(x) -> Tensor:
@@ -510,7 +569,7 @@ def avg_pool_global(x) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         shape = (c,) + (1,) * (x.data.ndim - 1)
-        _accumulate(x, np.broadcast_to(g.reshape(shape) / n, x.shape).copy())
+        _accumulate(x, np.broadcast_to(g.reshape(shape) / n, x.shape))
 
     return _record(out, (x,), backward)
 

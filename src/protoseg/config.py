@@ -7,6 +7,7 @@ cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -49,8 +50,9 @@ class Config:
             raise ConfigError("encoder_depth must be >= 4")
         if not 0 <= self.fold <= 2:
             raise ConfigError("fold must be 0, 1 or 2")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError("learning_rate must be finite and >= 0, got %r"
+                              % self.learning_rate)
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.edge_fusion and not self.excitation:

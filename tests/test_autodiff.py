@@ -241,6 +241,19 @@ def test_shared_subexpression_accumulates():
     assert np.allclose(x.grad, 12.0)
 
 
+def test_accumulate_rejects_mismatched_gradient_shape():
+    # A (4,) gradient would broadcast silently onto a (3, 4) tensor.
+    x = t64(np.zeros((3, 4)))
+    for g in (np.ones(4), np.ones((1, 4)), np.ones((3, 4, 1))):
+        with pytest.raises(DimensionError):
+            ad._accumulate(x, g)
+    assert x.grad is None
+    ad._accumulate(x, np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        ad._accumulate(x, np.ones(4))
+    assert np.array_equal(x.grad, np.ones((3, 4)))
+
+
 def test_constant_branch_gets_no_grad():
     x = param("x", np.ones(2))
     c = Tensor(np.ones(2))

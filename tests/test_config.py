@@ -75,6 +75,17 @@ def test_validation_rules():
     Config(excitation=False, edge_fusion=False).validate()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_learning_rate_must_be_finite(value):
+    # NaN passed a plain `< 0` check and only surfaced an epoch later as a
+    # misleading adjacency error once the parameters turned NaN.
+    for build in (lambda: Config(learning_rate=float(value)).validate(),
+                  lambda: parse_config("learning_rate = %s\n" % value)):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert "learning_rate" in str(err.value)
+
+
 def test_with_overrides_revalidates():
     cfg = Config()
     assert cfg.with_overrides(epochs=5).epochs == 5

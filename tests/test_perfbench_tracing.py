@@ -6,6 +6,7 @@ from pathlib import Path
 
 from protoseg import (autodiff, encoder, episodes, excitation, fusion, harness,
                       network, reasoning)
+from protoseg.config import Config
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
@@ -35,3 +36,25 @@ def test_tracer_install_then_uninstall_restores_every_attribute():
         tracer.uninstall()
     for owner, snap in zip(OWNERS, before):
         assert _changed(owner, snap) == [], owner
+
+
+def test_traced_train_times_every_backward():
+    # The per-op bwd_ms metrics time each op's `_backward` closure; an op
+    # whose closure escaped the wrapper would report too little.
+    cfg = Config(image_size=32, channels=8, proto_dim=4, encoder_width=4,
+                 reduction=4, epochs=1, episodes_per_epoch=2)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        harness.train(cfg)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    calls = tracer.summarize()["calls"]
+    assert tracer.episode == cfg.episodes_per_epoch
+    assert calls["autodiff.backward"] == cfg.episodes_per_epoch
+    for op in ("conv2d", "conv1d"):
+        name = "autodiff." + op
+        assert calls[name] > 0
+        assert calls[name + ".bwd"] == calls[name], op
