@@ -1,5 +1,5 @@
 """Synthetic surface-defect classes, deterministic sample rendering, and
-episodic sampling over class folds.
+episodic sampling over class folds, inline or one ahead in a worker process.
 
 Twelve procedurally defined classes cycle through three shape families
 (scratches, patches, pit clusters), each with its own background texture and
@@ -14,13 +14,14 @@ import functools
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
 from .bilinear import bilinear_matrix
-from .errors import ConfigError, DegenerateEpisodeError
+from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
+                     UsageError)
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -365,13 +366,20 @@ def _grid_nonempty(mask: Tensor, grid_size: int) -> bool:
 
 
 def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
-                   image_size: int = 64) -> Episode:
+                   image_size: int = 64,
+                   ahead: Optional["EpisodeStream"] = None) -> Episode:
     """Draw one episode: a class uniformly from the requested fold role, K
     support pairs and one query pair with independent substyles and warps.
 
     Samples whose mask vanishes at feature-grid resolution are redrawn (with
     a log line) so downstream pooling always sees foreground.
+
+    With `ahead`, the episode is the next one of that stream, which must
+    have been opened for these arguments with `seed` next in line; it is
+    the same episode, byte for byte, as the inline draw.
     """
+    if ahead is not None:
+        return ahead.take(split, role, k, seed, image_size)
     if role not in ("train", "test"):
         raise ConfigError("role must be 'train' or 'test', got %r" % role)
     if k < 1:
@@ -415,3 +423,91 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
                    query_image=query_img,
                    query_mask=query_mask,
                    seed=seed)
+
+
+class EpisodeStream:
+    """The episodes for `seeds`, in order, rendered one ahead of the caller
+    by a forked worker process while the caller computes on the previous
+    one. Take them with `sample_episode(..., ahead=stream)`.
+
+    The worker sends each episode through a one-way pipe; its blocking send
+    keeps it about one episode ahead. An exception raised while rendering
+    is sent instead and raised again by `take`, at the same episode. Use
+    the stream as a context manager: leaving it terminates and joins the
+    worker and closes the pipe. It needs the `fork` start method; a
+    spawned worker would import numpy and the package again for every
+    stream.
+    """
+
+    def __init__(self, split: FoldSplit, role: str, k: int,
+                 seeds: Sequence[int], image_size: int):
+        # Imported here: it costs more than a fork and join, and callers
+        # that never stream should not pay it at import.
+        import multiprocessing
+
+        self._request = (split, role, k, image_size)
+        self._seeds = list(seeds)
+        self._taken = 0
+        ctx = multiprocessing.get_context("fork")
+        self._recv, send = ctx.Pipe(duplex=False)
+        self._worker = ctx.Process(
+            target=_render_ahead, daemon=True,
+            args=(send, split, role, k, self._seeds, image_size))
+        try:
+            self._worker.start()
+        finally:
+            send.close()
+
+    def take(self, split: FoldSplit, role: str, k: int, seed: int,
+             image_size: int) -> Episode:
+        """The next episode; the arguments must be the ones it was rendered
+        for."""
+        i = self._taken
+        if i == len(self._seeds):
+            raise UsageError("episode stream is exhausted after %d episodes"
+                             % i)
+        want = self._request + (self._seeds[i],)
+        if (split, role, k, image_size, seed) != want:
+            raise UsageError(
+                "episode stream renders episode %d as %r, not %r"
+                % (i, want[1:], (role, k, image_size, seed)))
+        try:
+            item = self._recv.recv()
+        except EOFError:
+            self._worker.join()
+            raise ProtosegError(
+                "episode worker exited with code %s before episode %d "
+                "(seed %d)" % (self._worker.exitcode, i, seed)) from None
+        self._taken += 1
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def close(self) -> None:
+        # Terminated before the pipe closes, so the worker never fails a
+        # send to a closed pipe.
+        self._worker.terminate()
+        self._worker.join()
+        self._recv.close()
+
+    def __enter__(self) -> "EpisodeStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _render_ahead(conn, split: FoldSplit, role: str, k: int,
+                  seeds: Sequence[int], image_size: int) -> None:
+    """Worker body: render and send each episode, or the first exception."""
+    import signal  # loaded already, by multiprocessing
+
+    # Ctrl-C reaches the whole process group; the caller stops the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for seed in seeds:
+        try:
+            episode = sample_episode(split, role, k, seed, image_size)
+        except Exception as exc:
+            conn.send(exc)
+            return
+        conn.send(episode)

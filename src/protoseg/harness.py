@@ -15,7 +15,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, config_from_dict
 from .encoder import DescriptorSet
-from .episodes import (FoldSplit, default_classes, make_folds, sample_episode)
+from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
+                       sample_episode)
 from .errors import ConfigError, FormatError, TrainingError
 from .fusion import bce_loss
 from .metrics import EvalReport, fb_iou, iou, miou
@@ -126,36 +127,41 @@ def train(config: Config, out_dir=None,
     opt = SGD(net.parameters(), config.learning_rate, config.momentum)
     losses: list[float] = []
     checkpoints: list[Path] = []
+    seeds = [derive_seed(config.seed, "train", i)
+             for i in range(config.epochs * config.episodes_per_epoch)]
     episode_index = 0
-    for epoch in range(config.epochs):
-        epoch_losses = []
-        remaining = config.episodes_per_epoch
-        while remaining:
-            batch = min(2, remaining)
-            remaining -= batch
-            opt.zero_grad()
-            for _ in range(batch):
-                ep_seed = derive_seed(config.seed, "train", episode_index)
-                episode = sample_episode(split, "train", config.k_shot,
-                                         ep_seed, config.image_size)
-                with Tape() as tape:
-                    loss, _ = net.episode_loss(episode)
-                    scaled = ad.mul(loss, 1.0 / batch)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        "non-finite loss at training episode %d (episode "
-                        "seed %d, epoch %d)" % (episode_index, ep_seed, epoch))
-                ad.backward(tape, scaled)
-                losses.append(value)
-                epoch_losses.append(value)
-                episode_index += 1
-            opt.step()
-        if out_dir is not None:
-            path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
-            checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
-        if progress is not None:
-            progress(epoch, float(np.mean(epoch_losses)))
+    with EpisodeStream(split, "train", config.k_shot, seeds,
+                       config.image_size) as stream:
+        for epoch in range(config.epochs):
+            epoch_losses = []
+            remaining = config.episodes_per_epoch
+            while remaining:
+                batch = min(2, remaining)
+                remaining -= batch
+                opt.zero_grad()
+                for _ in range(batch):
+                    ep_seed = seeds[episode_index]
+                    episode = sample_episode(split, "train", config.k_shot,
+                                             ep_seed, config.image_size,
+                                             ahead=stream)
+                    with Tape() as tape:
+                        loss, _ = net.episode_loss(episode)
+                        scaled = ad.mul(loss, 1.0 / batch)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise TrainingError(
+                            "non-finite loss at training episode %d (episode "
+                            "seed %d, epoch %d)" % (episode_index, ep_seed, epoch))
+                    ad.backward(tape, scaled)
+                    losses.append(value)
+                    epoch_losses.append(value)
+                    episode_index += 1
+                opt.step()
+            if out_dir is not None:
+                path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
+                checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
+            if progress is not None:
+                progress(epoch, float(np.mean(epoch_losses)))
     return TrainResult(network=net, losses=losses, checkpoints=checkpoints,
                        split=split)
 
@@ -194,21 +200,24 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
     pairs: list[tuple[int, float]] = []
     fbs: list[float] = []
     loss_values: list[float] = []
-    for i in range(episodes):
-        ep = sample_episode(split, "test", k, derive_seed(eval_seed, "eval", i),
-                            cfg.image_size)
-        if predict_fn is not None:
-            pred = predict_fn(ep)
-            if not isinstance(pred, Tensor):
-                pred = Tensor(np.asarray(pred))
-        else:
-            seg = net.forward(ep)
-            loss_values.append(bce_loss(seg, net._as_tensor(ep.query_mask)).item())
-            pred = seg.binary()
-        score = iou(pred, ep.query_mask)
-        pairs.append((ep.class_id, score))
-        per_class[ep.class_id].append(score)
-        fbs.append(fb_iou(pred, ep.query_mask))
+    seeds = [derive_seed(eval_seed, "eval", i) for i in range(episodes)]
+    with EpisodeStream(split, "test", k, seeds, cfg.image_size) as stream:
+        for ep_seed in seeds:
+            ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
+                                ahead=stream)
+            if predict_fn is not None:
+                pred = predict_fn(ep)
+                if not isinstance(pred, Tensor):
+                    pred = Tensor(np.asarray(pred))
+            else:
+                seg = net.forward(ep)
+                loss_values.append(
+                    bce_loss(seg, net._as_tensor(ep.query_mask)).item())
+                pred = seg.binary()
+            score = iou(pred, ep.query_mask)
+            pairs.append((ep.class_id, score))
+            per_class[ep.class_id].append(score)
+            fbs.append(fb_iou(pred, ep.query_mask))
     return EvalReport(
         fold=fold, k_shot=k, episodes=episodes,
         miou=miou(pairs, split.test_class_ids),

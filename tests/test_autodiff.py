@@ -8,7 +8,8 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor, Tape, Parameter, backward, grad_check
 from protoseg.errors import ConfigError, DimensionError, UsageError
 
-from oracles import scatter_conv2d_input_grad
+from oracles import (naive_conv1d, naive_conv2d, naive_matmul,
+                     scatter_conv2d_input_grad)
 
 
 def t64(arr, grad=True):
@@ -17,60 +18,6 @@ def t64(arr, grad=True):
 
 def param(name, arr):
     return Parameter(name, t64(arr))
-
-
-# ---------------------------------------------------------------------------
-# forward oracles (naive loops, f64)
-
-
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-def naive_conv1d(x, w, b):
-    c_in, length = x.shape
-    c_out, _, k = w.shape
-    pad = k // 2
-    out = np.zeros((c_out, length))
-    for o in range(c_out):
-        for pos in range(length):
-            acc = 0.0
-            for ci in range(c_in):
-                for kk in range(k):
-                    src = pos + kk - pad
-                    if 0 <= src < length:
-                        acc += x[ci, src] * w[o, ci, kk]
-            out[o, pos] = acc + (b[o] if b is not None else 0.0)
-    return out
-
-
-def naive_conv2d(x, w, b, stride=1):
-    c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
-    pad = k // 2
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (wd + 2 * pad - k) // stride + 1
-    out = np.zeros((c_out, oh, ow))
-    for o in range(c_out):
-        for i in range(oh):
-            for j in range(ow):
-                acc = 0.0
-                for ci in range(c_in):
-                    for ky in range(k):
-                        for kx in range(k):
-                            y = i * stride + ky - pad
-                            x_ = j * stride + kx - pad
-                            if 0 <= y < h and 0 <= x_ < wd:
-                                acc += x[ci, y, x_] * w[o, ci, ky, kx]
-                out[o, i, j] = acc + (b[o] if b is not None else 0.0)
-    return out
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,15 +1,20 @@
 """Synthetic corpus: rendering determinism, warps, folds, episode protocol."""
 
 import hashlib
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from protoseg import episodes
 from protoseg.episodes import (DefectClass, DistortionParams, Episode,
-                               FoldSplit, _paint_discs, default_classes,
-                               generate_sample, make_folds, sample_episode,
-                               warp_mask)
-from protoseg.errors import ConfigError, DegenerateEpisodeError
+                               EpisodeStream, FoldSplit, _paint_discs,
+                               default_classes, generate_sample, make_folds,
+                               sample_episode, warp_mask)
+from protoseg.errors import (ConfigError, DegenerateEpisodeError,
+                             ProtosegError, UsageError)
 
 from oracles import naive_paint_discs
 
@@ -253,6 +258,70 @@ def test_golden_episode_digest():
                         digest.update(t.data.tobytes())
     assert families == {"scratch", "patch", "pits"}
     assert digest.hexdigest() == GOLDEN_EPISODE_DIGEST
+
+
+def _fingerprint(ep):
+    tensors = (*ep.support_images, *ep.support_masks, ep.query_image,
+               ep.query_mask)
+    return (ep.class_id, ep.seed,
+            [(t.dtype.str, t.shape, t.data.tobytes()) for t in tensors])
+
+
+@pytest.mark.parametrize("size", (32, 64))
+@pytest.mark.parametrize("k", (1, 5))
+@pytest.mark.parametrize("role", ("train", "test"))
+def test_stream_matches_inline_sampling(role, k, size):
+    seeds = [100 * k + size + i for i in range(3)]
+    with EpisodeStream(SPLIT, role, k, seeds, size) as stream:
+        for seed in seeds:
+            got = sample_episode(SPLIT, role, k, seed, size, ahead=stream)
+            assert _fingerprint(got) == _fingerprint(
+                sample_episode(SPLIT, role, k, seed, size))
+    assert not multiprocessing.active_children()
+
+
+def test_stream_rejects_request_out_of_order():
+    with EpisodeStream(SPLIT, "train", 1, [3, 4], 32) as stream:
+        with pytest.raises(UsageError, match="episode 0"):
+            sample_episode(SPLIT, "train", 1, 4, 32, ahead=stream)
+        with pytest.raises(UsageError):
+            sample_episode(SPLIT, "test", 1, 3, 32, ahead=stream)
+        with pytest.raises(UsageError):
+            sample_episode(SPLIT, "train", 2, 3, 32, ahead=stream)
+        # A refused request takes nothing off the stream.
+        for seed in (3, 4):
+            got = sample_episode(SPLIT, "train", 1, seed, 32, ahead=stream)
+            assert _fingerprint(got) == _fingerprint(
+                sample_episode(SPLIT, "train", 1, seed, 32))
+        with pytest.raises(UsageError, match="exhausted"):
+            sample_episode(SPLIT, "train", 1, 5, 32, ahead=stream)
+
+
+def test_stream_reports_a_worker_that_died(monkeypatch):
+    monkeypatch.setattr(episodes, "sample_episode",
+                        lambda *args: os._exit(3))
+    with EpisodeStream(SPLIT, "test", 1, [0, 1], 32) as stream:
+        with pytest.raises(ProtosegError, match="exited with code 3"):
+            sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
+    assert not multiprocessing.active_children()
+
+
+def test_stream_worker_ignores_interrupt():
+    # Ctrl-C signals the whole process group; the caller stops the worker.
+    with EpisodeStream(SPLIT, "test", 1, [0, 1], 32) as stream:
+        sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGINT)
+        got = sample_episode(SPLIT, "test", 1, 1, 32, ahead=stream)
+        assert _fingerprint(got) == _fingerprint(
+            sample_episode(SPLIT, "test", 1, 1, 32))
+
+
+def test_stream_left_early_stops_its_worker():
+    with EpisodeStream(SPLIT, "test", 5, range(20), 64) as stream:
+        sample_episode(SPLIT, "test", 5, 0, 64, ahead=stream)
+        assert len(multiprocessing.active_children()) == 1
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,18 +1,27 @@
 """Optimizer, training loop, checkpoints, evaluation, ablation."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import protoseg
 import protoseg.harness as harness
+from protoseg import episodes
 from protoseg.autodiff import Parameter, Tensor
 from protoseg.config import Config
-from protoseg.errors import ConfigError, FormatError, TrainingError
+from protoseg.episodes import FoldSplit, sample_episode
+from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
+                             TrainingError)
 from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               gradcheck_model, load_network, model_report,
                               render_ablation, save_checkpoint, train)
 from protoseg.network import FewShotSegmenter
+from protoseg.seeding import derive_seed
 
 # 16px toy geometry keeps each training run around a tenth of a second
 TINY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
@@ -92,6 +101,70 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     with pytest.raises(TrainingError) as err:
         train(TINY)
     assert "episode seed" in str(err.value)
+    # The episode worker, still rendering the rest, is stopped too.
+    assert not multiprocessing.active_children()
+
+
+def test_train_and_evaluate_leave_no_worker():
+    result = train(TINY)
+    assert not multiprocessing.active_children()
+    evaluate(result.network, k=1, episodes=30)
+    assert not multiprocessing.active_children()
+
+
+def test_render_error_in_worker_keeps_type_and_message():
+    with pytest.raises(ConfigError) as direct:
+        sample_episode(default_split(TINY), "test", 0, 0, TINY.image_size)
+    with pytest.raises(ConfigError) as streamed:
+        evaluate(FewShotSegmenter(TINY), k=0, episodes=3)
+    assert str(streamed.value) == str(direct.value) == "k must be >= 1, got 0"
+    assert not multiprocessing.active_children()
+
+
+def test_unknown_class_in_split_fails_training(monkeypatch):
+    bad = FoldSplit(folds=((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 99)),
+                    test_fold=0)
+    monkeypatch.setattr(harness, "default_split", lambda config: bad)
+    with pytest.raises(ConfigError, match="^fold references unknown class id 99$"):
+        train(TINY)
+    assert not multiprocessing.active_children()
+
+
+def test_render_error_surfaces_at_its_episode(monkeypatch):
+    seeds = [derive_seed(3, "eval", i) for i in range(5)]
+    render = episodes.sample_episode
+
+    def failing(split, role, k, seed, image_size=64):
+        if seed == seeds[3]:
+            raise DegenerateEpisodeError("empty grid (seed %d)" % seed)
+        return render(split, role, k, seed, image_size)
+
+    # The worker forks after the patch and renders through it.
+    monkeypatch.setattr(episodes, "sample_episode", failing)
+    scored = []
+
+    def predict(ep):
+        scored.append(ep.seed)
+        return ep.query_mask
+
+    with pytest.raises(DegenerateEpisodeError,
+                       match=r"^empty grid \(seed %d\)$" % seeds[3]):
+        evaluate(FewShotSegmenter(TINY), k=1, episodes=5, seed=3,
+                 predict_fn=predict)
+    assert scored == seeds[:3]
+    assert not multiprocessing.active_children()
+
+
+def test_import_does_not_load_multiprocessing():
+    # The episode worker imports multiprocessing when it starts; a fresh
+    # interpreter's import of the package stays without it.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import protoseg.harness, protoseg.cli; "
+             "print('multiprocessing' in sys.modules)")
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
