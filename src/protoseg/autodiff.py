@@ -9,11 +9,13 @@ pays nothing for the machinery.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
+from .seeding import derive_rng
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -112,6 +114,38 @@ class Parameter:
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
 
 
+class Module:
+    """Owner of one model part's parameters.
+
+    Weights are He-normal, std sqrt(2 / fan_in) with fan_in the product of
+    every axis but the first, drawn from the (seed, "init", prefix) stream.
+    Biases and zero-started weights are zeros. `parameters()` lists them in
+    declaration order, which is the checkpoint order.
+    """
+
+    def __init__(self, seed: int, dtype):
+        self.seed = seed
+        self.dtype = dtype
+        self._parameters: list[Parameter] = []
+
+    def _declare(self, name: str, data: np.ndarray) -> Parameter:
+        p = Parameter(name, Tensor(data))
+        self._parameters.append(p)
+        return p
+
+    def he_weight(self, prefix: str, shape: tuple[int, ...]) -> Parameter:
+        fan_in = math.prod(shape[1:])
+        rng = derive_rng(self.seed, "init", prefix)
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(self.dtype)
+        return self._declare(prefix + ".weight", w)
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> Parameter:
+        return self._declare(name, np.zeros(shape, dtype=self.dtype))
+
+    def parameters(self) -> list[Parameter]:
+        return list(self._parameters)
+
+
 # ---------------------------------------------------------------------------
 # recording plumbing
 
@@ -148,17 +182,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # Right-aligned; a dimension may only stretch when its extent is 1.
-    rank = max(len(a), len(b))
-    pa = (1,) * (rank - len(a)) + a
-    pb = (1,) * (rank - len(b)) + b
-    out = []
-    for da, db in zip(pa, pb):
-        if da == db or da == 1 or db == 1:
-            out.append(max(da, db))
-        else:
-            raise DimensionError("cannot broadcast shapes %s and %s" % (a, b))
-    return tuple(out)
+    try:
+        return np.broadcast_shapes(a, b)
+    except ValueError:
+        raise DimensionError("cannot broadcast shapes %s and %s" % (a, b)) from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

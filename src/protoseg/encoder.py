@@ -13,9 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError, DimensionError, ValidationError
-from .seeding import derive_rng
 
 
 @dataclass
@@ -53,13 +52,7 @@ def from_descriptors(x: Tensor, height: int, width: int) -> Tensor:
     return ad.reshape(x, x.shape[0], height, width)
 
 
-def _he_conv(name: str, c_out: int, c_in: int, k: int, rng, dtype) -> Parameter:
-    std = np.sqrt(2.0 / (c_in * k * k))
-    w = rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(dtype)
-    return Parameter(name, Tensor(w))
-
-
-class Encoder:
+class Encoder(Module):
     """Stack of 3x3 conv+relu blocks; blocks 2 and 4 use stride 2 (total /4)."""
 
     def __init__(self, in_channels: int, out_channels: int, width: int,
@@ -67,29 +60,20 @@ class Encoder:
         if depth < 4:
             raise ConfigError("encoder depth must be >= 4 so both stride-2 "
                               "blocks exist, got %d" % depth)
+        super().__init__(seed, dtype)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.depth = depth
-        self.weights: list[Parameter] = []
-        self.biases: list[Parameter] = []
-        self.strides: list[int] = []
+        # (weight, bias, stride) per block
+        self.blocks: list[tuple[Parameter, Parameter, int]] = []
         c_prev = in_channels
         for i in range(depth):
             c_next = out_channels if i == depth - 1 else width
-            stride = 2 if i in (1, 3) else 1
-            rng = derive_rng(seed, "init", "encoder.block%d" % i)
-            self.weights.append(_he_conv("encoder.block%d.weight" % i,
-                                         c_next, c_prev, 3, rng, dtype))
-            self.biases.append(Parameter("encoder.block%d.bias" % i,
-                                         Tensor(np.zeros(c_next, dtype=dtype))))
-            self.strides.append(stride)
+            name = "encoder.block%d" % i
+            self.blocks.append((self.he_weight(name, (c_next, c_prev, 3, 3)),
+                                self.zeros(name + ".bias", (c_next,)),
+                                2 if i in (1, 3) else 1))
             c_prev = c_next
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
     def __call__(self, image: Tensor) -> Tensor:
         """(3, H, W) image -> (c, H/4, W/4) feature map."""
@@ -100,12 +84,12 @@ class Encoder:
             raise DimensionError("encoder input extents must be divisible by 4, "
                                  "got %s" % (image.shape,))
         x = image
-        for w, b, s in zip(self.weights, self.biases, self.strides):
+        for w, b, s in self.blocks:
             x = ad.relu(ad.conv2d(x, w.value, b.value, stride=s))
         return x
 
 
-def _check_binary(arr: np.ndarray, what: str) -> None:
+def check_binary(arr: np.ndarray, what: str) -> None:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValidationError("%s must be binary (0/1 values only)" % what)
 
@@ -119,7 +103,7 @@ def mask_to_feature_grid(mask: Tensor, height: int, width: int) -> Tensor:
     if big_h % height or big_w % width:
         raise DimensionError("mask %s does not pool evenly onto a %dx%d grid"
                              % ((big_h, big_w), height, width))
-    _check_binary(mask.data, "mask")
+    check_binary(mask.data, "mask")
     fh, fw = big_h // height, big_w // width
     pooled = mask.data.reshape(height, fh, width, fw).mean(axis=(1, 3))
     return Tensor((pooled >= 0.5).astype(mask.data.dtype))
@@ -130,7 +114,7 @@ def apply_mask(fmap: Tensor, grid: Tensor) -> Tensor:
     if grid.data.ndim != 2 or fmap.data.ndim != 3 or fmap.shape[1:] != grid.shape:
         raise DimensionError("grid %s does not match feature map %s"
                              % (grid.shape, fmap.shape))
-    _check_binary(grid.data, "feature grid")
+    check_binary(grid.data, "feature grid")
     return ad.mul(fmap, ad.reshape(grid, 1, *grid.shape))
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
-from .encoder import DescriptorSet, from_descriptors
-from .errors import ConfigError, DegenerateEpisodeError, DimensionError, ValidationError
+from .autodiff import Module, Tensor
+from .encoder import DescriptorSet, check_binary, from_descriptors
+from .errors import ConfigError, DegenerateEpisodeError, DimensionError
 from .reasoning import COSINE_EPS, NORM_SQ_EPS
-from .seeding import derive_rng
 
 SPATIAL_KERNEL = 7          # width of the spatial attention conv
 
@@ -26,8 +25,7 @@ def masked_avg_pool(x: DescriptorSet, grid: Tensor) -> Tensor:
     if grid.data.ndim != 2 or grid.data.size != x.count:
         raise DimensionError("grid %s does not match descriptor count %d"
                              % (grid.shape, x.count))
-    if not np.all((grid.data == 0.0) | (grid.data == 1.0)):
-        raise ValidationError("feature grid must be binary")
+    check_binary(grid.data, "feature grid")
     fg = float(grid.data.sum())
     if fg == 0.0:
         raise DegenerateEpisodeError("support mask has no foreground at feature "
@@ -62,7 +60,7 @@ def edge_similarity(x_q: DescriptorSet, x_s: DescriptorSet) -> Tensor:
     return ad.mul(inner, ad.power(ad.clamp(denom, lo=COSINE_EPS), -1.0))
 
 
-class FeatureExcitation:
+class FeatureExcitation(Module):
     """Channel + spatial attention over guided query descriptors, with an
     optional global-edge fusion route."""
 
@@ -71,44 +69,23 @@ class FeatureExcitation:
         if channels % reduction:
             raise ConfigError("channels (%d) must divide by the reduction "
                               "ratio (%d)" % (channels, reduction))
+        super().__init__(seed, dtype)
         self.channels = channels
         self.hidden = channels // reduction
         self.descriptor_count = descriptor_count
         self.edge_fusion = edge_fusion
 
-        def dense(name, rows, cols, rng):
-            w = rng.normal(0.0, np.sqrt(2.0 / cols), size=(rows, cols)).astype(dtype)
-            return (Parameter(name + ".weight", Tensor(w)),
-                    Parameter(name + ".bias", Tensor(np.zeros((rows, 1), dtype=dtype))))
-
-        rng = derive_rng(seed, "init", "excitation.squeeze")
-        self.squeeze_w, self.squeeze_b = dense("excitation.squeeze",
-                                               self.hidden, channels, rng)
-        rng = derive_rng(seed, "init", "excitation.expand")
-        self.expand_w, self.expand_b = dense("excitation.expand",
-                                             channels, self.hidden, rng)
-        rng = derive_rng(seed, "init", "excitation.spatial")
         k = SPATIAL_KERNEL
-        std = np.sqrt(2.0 / (channels * k * k))
-        w = rng.normal(0.0, std, size=(1, channels, k, k)).astype(dtype)
-        self.spatial_w = Parameter("excitation.spatial.weight", Tensor(w))
-        self.spatial_b = Parameter("excitation.spatial.bias",
-                                   Tensor(np.zeros(1, dtype=dtype)))
+        self.squeeze_w = self.he_weight("excitation.squeeze", (self.hidden, channels))
+        self.squeeze_b = self.zeros("excitation.squeeze.bias", (self.hidden, 1))
+        self.expand_w = self.he_weight("excitation.expand", (channels, self.hidden))
+        self.expand_b = self.zeros("excitation.expand.bias", (channels, 1))
+        self.spatial_w = self.he_weight("excitation.spatial", (1, channels, k, k))
+        self.spatial_b = self.zeros("excitation.spatial.bias", (1,))
         if edge_fusion:
-            rng = derive_rng(seed, "init", "excitation.fuse_edges")
-            c_in = channels + descriptor_count
-            w = rng.normal(0.0, np.sqrt(2.0 / c_in),
-                           size=(channels, c_in, 1)).astype(dtype)
-            self.fuse_w = Parameter("excitation.fuse_edges.weight", Tensor(w))
-            self.fuse_b = Parameter("excitation.fuse_edges.bias",
-                                    Tensor(np.zeros(channels, dtype=dtype)))
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.squeeze_w, self.squeeze_b, self.expand_w, self.expand_b,
-               self.spatial_w, self.spatial_b]
-        if self.edge_fusion:
-            out.extend([self.fuse_w, self.fuse_b])
-        return out
+            self.fuse_w = self.he_weight("excitation.fuse_edges",
+                                         (channels, channels + descriptor_count, 1))
+            self.fuse_b = self.zeros("excitation.fuse_edges.bias", (channels,))
 
     def channel_attention(self, p: Tensor) -> Tensor:
         """Bottleneck over the pooled channel vector; sigmoid gate on (c, l).

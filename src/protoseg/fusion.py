@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor
 from .bilinear import bilinear_matrix
+from .encoder import check_binary
 from .errors import DimensionError, ValidationError
-from .seeding import derive_rng
 
 CLAMP_EPS = 1e-7
 
@@ -45,8 +45,7 @@ def bce_loss(pred: SegMask, target: Tensor) -> Tensor:
     if pred.probabilities.shape != target.shape:
         raise DimensionError("prediction %s and target %s differ"
                              % (pred.probabilities.shape, target.shape))
-    if not np.all((target.data == 0.0) | (target.data == 1.0)):
-        raise ValidationError("target mask must be binary")
+    check_binary(target.data, "target mask")
     p = ad.clamp(pred.probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
     hit = ad.mul(target, ad.log(p))
     miss = ad.mul(ad.add(ad.mul(target, -1.0), 1.0),
@@ -55,43 +54,31 @@ def bce_loss(pred: SegMask, target: Tensor) -> Tensor:
     return ad.mul(ad.tensor_mean(ll), -1.0)
 
 
-class FusionHead:
+class FusionHead(Module):
     """Two residual 3x3 blocks over the concatenated branches, a pointwise
     classifier, and bilinear upsampling back to image resolution."""
 
     def __init__(self, channels: int, grid_h: int, grid_w: int,
                  out_h: int, out_w: int, seed: int, dtype=np.float32):
+        super().__init__(seed, dtype)
         self.channels = channels
         self.grid_h, self.grid_w = grid_h, grid_w
         self.out_h, self.out_w = out_h, out_w
         c2 = 2 * channels
         self.convs: list[tuple[Parameter, Parameter]] = []
         for i in range(4):  # two blocks, two convs each
-            rng = derive_rng(seed, "init", "fusion.res%d" % i)
-            std = np.sqrt(2.0 / (c2 * 9))
+            name = "fusion.res%d" % i
             # Second conv of each block starts at zero: blocks begin as the
             # identity, which keeps activation scale seed-independent.
-            if i % 2:
-                w = np.zeros((c2, c2, 3, 3), dtype=dtype)
-            else:
-                w = rng.normal(0.0, std, size=(c2, c2, 3, 3)).astype(dtype)
-            self.convs.append((Parameter("fusion.res%d.weight" % i, Tensor(w)),
-                               Parameter("fusion.res%d.bias" % i,
-                                         Tensor(np.zeros(c2, dtype=dtype)))))
+            w = (self.zeros(name + ".weight", (c2, c2, 3, 3)) if i % 2
+                 else self.he_weight(name, (c2, c2, 3, 3)))
+            self.convs.append((w, self.zeros(name + ".bias", (c2,))))
         # Zero classifier: every run opens at probability 0.5 per pixel, so
         # the first loss is ln 2 and no seed starts saturated.
-        self.cls_w = Parameter("fusion.cls.weight",
-                               Tensor(np.zeros((1, c2, 1, 1), dtype=dtype)))
-        self.cls_b = Parameter("fusion.cls.bias", Tensor(np.zeros(1, dtype=dtype)))
+        self.cls_w = self.zeros("fusion.cls.weight", (1, c2, 1, 1))
+        self.cls_b = self.zeros("fusion.cls.bias", (1,))
         self.rows = Tensor(bilinear_matrix(out_h, grid_h, dtype))
         self.cols = Tensor(bilinear_matrix(out_w, grid_w, dtype))
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in self.convs:
-            out.extend([w, b])
-        out.extend([self.cls_w, self.cls_b])
-        return out
 
     def __call__(self, main: Tensor, aux: Tensor) -> SegMask:
         if main.shape != aux.shape or main.shape != (self.channels,

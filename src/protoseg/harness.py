@@ -172,13 +172,8 @@ def train(config: Config, out_dir=None,
 
 def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
              fold: Optional[int] = None, k: Optional[int] = None,
-             episodes: int = 60, seed: Optional[int] = None,
-             predict_fn: Optional[Callable] = None) -> EvalReport:
-    """Run frozen-weight inference over held-fold episodes.
-
-    predict_fn(episode) -> binary mask is an override hook for the default
-    forward + threshold path (used by metric plumbing checks).
-    """
+             episodes: int = 60, seed: Optional[int] = None) -> EvalReport:
+    """Run frozen-weight inference over held-fold episodes."""
     if isinstance(source, FewShotSegmenter):
         net = source
     else:
@@ -205,15 +200,10 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
         for ep_seed in seeds:
             ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
                                 ahead=stream)
-            if predict_fn is not None:
-                pred = predict_fn(ep)
-                if not isinstance(pred, Tensor):
-                    pred = Tensor(np.asarray(pred))
-            else:
-                seg = net.forward(ep)
-                loss_values.append(
-                    bce_loss(seg, net._as_tensor(ep.query_mask)).item())
-                pred = seg.binary()
+            seg = net.forward(ep)
+            loss_values.append(
+                bce_loss(seg, net._as_tensor(ep.query_mask)).item())
+            pred = seg.binary()
             score = iou(pred, ep.query_mask)
             pairs.append((ep.class_id, score))
             per_class[ep.class_id].append(score)
@@ -224,7 +214,7 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
         fb_iou=float(np.mean(fbs)),
         parameter_count=net.parameter_count(),
         per_class_iou={c: float(np.mean(v)) for c, v in per_class.items()},
-        mean_loss=float(np.mean(loss_values)) if loss_values else float("nan"),
+        mean_loss=float(np.mean(loss_values)),
     )
 
 

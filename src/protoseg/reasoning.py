@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Tensor
 from .encoder import DescriptorSet, from_descriptors
 from .errors import ConfigError, DimensionError, ValidationError
-from .seeding import derive_rng
 
 STANDARDIZE_EPS = 1e-5
 
@@ -87,7 +86,7 @@ def gcn_forward(h: Tensor, lap: Tensor, thetas: list[Tensor]) -> Tensor:
     return h
 
 
-class GraphReasoning:
+class GraphReasoning(Module):
     """Parameterized branch: project, relate, propagate, reflect."""
 
     def __init__(self, channels: int, proto_dim: int, gcn_depth: int,
@@ -96,37 +95,20 @@ class GraphReasoning:
             raise ConfigError("proto_dim must be >= 2, got %d" % proto_dim)
         if gcn_depth < 1:
             raise ConfigError("gcn_depth must be >= 1, got %d" % gcn_depth)
+        super().__init__(seed, dtype)
         self.channels = channels
         self.proto_dim = proto_dim
         c, r = channels, proto_dim
-
-        def conv1_param(name, c_out, c_in):
-            rng = derive_rng(seed, "init", name)
-            std = np.sqrt(2.0 / c_in)
-            w = rng.normal(0.0, std, size=(c_out, c_in, 1)).astype(dtype)
-            return (Parameter(name + ".weight", Tensor(w)),
-                    Parameter(name + ".bias", Tensor(np.zeros(c_out, dtype=dtype))))
-
-        self.node_w, self.node_b = conv1_param("reasoning.project_node", r, c)
-        self.channel_w, self.channel_b = conv1_param("reasoning.project_channel", r, c)
-        self.fuse_w, self.fuse_b = conv1_param("reasoning.fuse_relations", r, 2 * r)
-        self.thetas = []
-        for i in range(gcn_depth):
-            rng = derive_rng(seed, "init", "reasoning.gcn%d" % i)
-            w = rng.normal(0.0, np.sqrt(2.0 / r), size=(r, r)).astype(dtype)
-            self.thetas.append(Parameter("reasoning.gcn%d.weight" % i, Tensor(w)))
-        rng = derive_rng(seed, "init", "reasoning.reflect")
-        std = np.sqrt(2.0 / (r * 9))
-        w = rng.normal(0.0, std, size=(c, r, 3, 3)).astype(dtype)
-        self.reflect_w = Parameter("reasoning.reflect.weight", Tensor(w))
-        self.reflect_b = Parameter("reasoning.reflect.bias",
-                                   Tensor(np.zeros(c, dtype=dtype)))
-
-    def parameters(self) -> list[Parameter]:
-        return ([self.node_w, self.node_b, self.channel_w, self.channel_b,
-                 self.fuse_w, self.fuse_b]
-                + self.thetas
-                + [self.reflect_w, self.reflect_b])
+        self.node_w = self.he_weight("reasoning.project_node", (r, c, 1))
+        self.node_b = self.zeros("reasoning.project_node.bias", (r,))
+        self.channel_w = self.he_weight("reasoning.project_channel", (r, c, 1))
+        self.channel_b = self.zeros("reasoning.project_channel.bias", (r,))
+        self.fuse_w = self.he_weight("reasoning.fuse_relations", (r, 2 * r, 1))
+        self.fuse_b = self.zeros("reasoning.fuse_relations.bias", (r,))
+        self.thetas = [self.he_weight("reasoning.gcn%d" % i, (r, r))
+                       for i in range(gcn_depth)]
+        self.reflect_w = self.he_weight("reasoning.reflect", (c, r, 3, 3))
+        self.reflect_b = self.zeros("reasoning.reflect.bias", (c,))
 
     def project(self, x: DescriptorSet) -> PrototypePair:
         """(c, l) descriptors -> two (r, l) prototype sets."""

@@ -110,7 +110,7 @@ def test_broadcast_grad_unreduces():
     assert np.allclose(b.grad, 3.0)
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=30, deadline=None)
 def test_broadcast_shape_matches_numpy(n, m, k):
     shapes = [(n, 1), (1, m), (n, m), (k, n, m), (m,)]

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from protoseg.config import Config
 from protoseg.episodes import FoldSplit, sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
                              TrainingError)
+from protoseg.fusion import SegMask
 from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               gradcheck_model, load_network, model_report,
                               render_ablation, save_checkpoint, train)
@@ -26,6 +28,20 @@ from protoseg.seeding import derive_seed
 # 16px toy geometry keeps each training run around a tenth of a second
 TINY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
               reduction=4, epochs=2, episodes_per_epoch=4)
+
+
+def _score_as(net, probabilities):
+    """Make net.forward predict probabilities(episode) and return the list
+    of episode seeds it is called on."""
+    scored = []
+
+    def forward(ep):
+        scored.append(ep.seed)
+        p = probabilities(ep)
+        return SegMask(logits=p, probabilities=p)
+
+    net.forward = forward
+    return scored
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +157,11 @@ def test_render_error_surfaces_at_its_episode(monkeypatch):
 
     # The worker forks after the patch and renders through it.
     monkeypatch.setattr(episodes, "sample_episode", failing)
-    scored = []
-
-    def predict(ep):
-        scored.append(ep.seed)
-        return ep.query_mask
-
+    net = FewShotSegmenter(TINY)
+    scored = _score_as(net, lambda ep: ep.query_mask)
     with pytest.raises(DegenerateEpisodeError,
                        match=r"^empty grid \(seed %d\)$" % seeds[3]):
-        evaluate(FewShotSegmenter(TINY), k=1, episodes=5, seed=3,
-                 predict_fn=predict)
+        evaluate(net, k=1, episodes=5, seed=3)
     assert scored == seeds[:3]
     assert not multiprocessing.active_children()
 
@@ -165,6 +176,39 @@ def test_import_does_not_load_multiprocessing():
     out = subprocess.run([sys.executable, "-c", probe, src], check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+_BLAS_PROBE = """
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "numpy-first":
+    import numpy
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import protoseg
+print(json.dumps([str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning)]))
+"""
+
+
+@pytest.mark.parametrize("order, blas_env, warns", [
+    ("numpy-first", {}, True),
+    ("protoseg-first", {}, False),
+    ("numpy-first", {"OPENBLAS_NUM_THREADS": "1"}, False),
+], ids=["numpy-first", "protoseg-first", "blas-variable-set"])
+def test_blas_thread_cap_warns_only_when_it_cannot_apply(order, blas_env, warns):
+    env = {k: v for k, v in os.environ.items()
+           if k not in protoseg._BLAS_VARS}
+    env.update(blas_env)
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, src, order],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=60)
+    messages = json.loads(out.stdout)
+    if warns:
+        assert len(messages) == 1 and "PROTOSEG_THREADS" in messages[0]
+    else:
+        assert messages == []
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +289,19 @@ def test_load_network_rejects_mistyped_config_value(tmp_path):
 
 def test_evaluate_ground_truth_hook_scores_one():
     net = FewShotSegmenter(TINY)
-    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5,
-                      predict_fn=lambda ep: ep.query_mask)
+    scored = _score_as(net, lambda ep: ep.query_mask)
+    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
     assert report.miou == pytest.approx(1.0)
     assert report.fb_iou == pytest.approx(1.0)
     assert report.episodes == 30
     assert set(report.per_class_iou) == set(default_split(TINY).test_class_ids)
+    assert scored == [derive_seed(5, "eval", i) for i in range(30)]
 
 
 def test_evaluate_all_ones_hook_matches_fg_rate():
     net = FewShotSegmenter(TINY)
-    ones = lambda ep: Tensor(np.ones((16, 16), dtype=np.float32))
-    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5,
-                      predict_fn=ones)
+    _score_as(net, lambda ep: Tensor(np.ones((16, 16), dtype=np.float32)))
+    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
     assert 0.0 < report.miou < 0.7  # fg fractions live in [0.02, 0.6]
 
 

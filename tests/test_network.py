@@ -1,5 +1,7 @@
 """Assembled model: parameter accounting, toggles, support encoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,44 @@ def test_f64_mode_propagates():
     ep = sample_episode(SPLIT, "train", 1, seed=9, image_size=16)
     seg = net(ep)
     assert seg.logits.data.dtype == np.float64
+
+
+# Initial parameters hashed per config and dtype: name, dtype, shape and
+# bytes of every parameter in checkpoint order. Initialization must stay
+# bit-identical; a change to it changes every trajectory and reported number.
+GOLDEN_PARAMETER_DIGESTS = {
+    ("default", "float32"):
+        "581a17c5873c19075ed9e5d964c8542c414e4f6c6811cc4424ca4140132d7e6b",
+    ("default", "float64"):
+        "0af05d6b540c8ff12365850c92048f99966033ae7b428cf9505b153360ab8cbd",
+    ("no_edges", "float32"):
+        "fc5e770ec5c2e59e49bbec1f4a549cbdaedc421a26f2ea126b5edddf395918c4",
+    ("no_edges", "float64"):
+        "555d0742bb5f3fd088649a3c8b329df713e2fc10798eb3ffc30efda2deaa383b",
+    ("no_reasoning", "float32"):
+        "6278262b4a5fc66ccbd92df5e7659b9f604a191c7f026cad09c7b6cf26581d2b",
+    ("no_reasoning", "float64"):
+        "ecd45243b30fdcab6b09d27ed003b92876935273d5d8e4f573677f181298e04c",
+    ("toy_gcn3", "float32"):
+        "2597e6ff5bea602da9c5688745e88a5bba5f1d01cefd4065380d076d8d4f40c3",
+    ("toy_gcn3", "float64"):
+        "33ec2a37e2658e61d9075cc0449c49732d60daebf0e5d86eb3dc86214dca6f20",
+}
+
+
+def test_golden_parameter_digest():
+    configs = {"default": Config(),
+               "no_edges": Config(edge_fusion=False),
+               "no_reasoning": Config(graph_reasoning=False),
+               "toy_gcn3": TOY.with_overrides(gcn_depth=3)}
+    got = {}
+    for name, cfg in configs.items():
+        for dtype in (np.float32, np.float64):
+            digest = hashlib.sha256()
+            for p in FewShotSegmenter(cfg, dtype).parameters():
+                digest.update(p.name.encode())
+                digest.update(p.data.dtype.str.encode())
+                digest.update(repr(p.data.shape).encode())
+                digest.update(p.data.tobytes())
+            got[name, np.dtype(dtype).name] = digest.hexdigest()
+    assert got == GOLDEN_PARAMETER_DIGESTS
