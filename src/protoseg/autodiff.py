@@ -28,7 +28,9 @@ def _active_tape() -> Optional["Tape"]:
 
 
 class Tensor:
-    """A dense float array plus an optional accumulated gradient."""
+    """A dense float array that can sit on the tape, plus its accumulated
+    gradient (None until a backward pass reaches it). Data that never
+    needs a gradient stays a plain ndarray; the ops take it as a constant."""
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_tape")
 
@@ -60,8 +62,9 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
-            self.shape, self.data.dtype.name, self.requires_grad)
+        return "%s(shape=%s, dtype=%s, requires_grad=%s)" % (
+            type(self).__name__, self.shape, self.data.dtype.name,
+            self.requires_grad)
 
 
 class Tape:
@@ -83,35 +86,14 @@ class Tape:
         return len(self._nodes)
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named leaf tensor. Gradients accumulate across tapes until zeroed."""
 
-    def __init__(self, name: str, value: Tensor):
-        if not isinstance(value, Tensor):
-            value = Tensor(value)
-        value.requires_grad = True
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.value = value
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self.value.grad is None:
-            return np.zeros_like(self.value.data)
-        return self.value.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.data.shape
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
-
-    def __repr__(self) -> str:
-        return "Parameter(%r, shape=%s)" % (self.name, self.shape)
 
 
 class Module:
@@ -129,7 +111,7 @@ class Module:
         self._parameters: list[Parameter] = []
 
     def _declare(self, name: str, data: np.ndarray) -> Parameter:
-        p = Parameter(name, Tensor(data))
+        p = Parameter(name, data)
         self._parameters.append(p)
         return p
 
@@ -641,22 +623,23 @@ def grad_check(function: Callable[[], Tensor], params: Sequence[Parameter],
         raise ConfigError("grad_check eps must lie in [1e-7, 1e-4], got %g" % eps)
     params = list(params)
     for p in params:
-        if p.value.data.dtype != np.float64:
+        if p.data.dtype != np.float64:
             raise ConfigError("grad_check requires float64 parameters, %r is %s"
-                              % (p.name, p.value.data.dtype.name))
+                              % (p.name, p.data.dtype.name))
     for p in params:
-        p.zero_grad()
+        p.grad = None
     with Tape() as tape:
         out = function()
     if out.data.size != 1:
         raise UsageError("grad_check function must return a scalar")
     backward(tape, out)
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in params]
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for p, g in zip(params, analytic):
-        flat = p.value.data.reshape(-1)
+        flat = p.data.reshape(-1)
         gflat = g.reshape(-1)
         if max_coords_per_param is not None and flat.size > max_coords_per_param:
             coords = rng.choice(flat.size, size=max_coords_per_param, replace=False)

@@ -95,9 +95,9 @@ def parse_config(text: str) -> Config:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
         ftype = _FIELD_TYPES[key]
         try:
-            if ftype in (bool, "bool"):
+            if ftype == "bool":
                 values[key] = _parse_bool(key, raw)
-            elif ftype in (int, "int"):
+            elif ftype == "int":
                 values[key] = int(raw)
             else:
                 values[key] = float(raw)
@@ -113,9 +113,9 @@ def load_config(path) -> Config:
 def _check_type(key: str, value) -> None:
     # bool is a subclass of int, so it is refused explicitly for numbers.
     ftype = _FIELD_TYPES[key]
-    if ftype in (bool, "bool"):
+    if ftype == "bool":
         ok, want = isinstance(value, bool), "a boolean"
-    elif ftype in (int, "int"):
+    elif ftype == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)
         want = "an integer"
     else:

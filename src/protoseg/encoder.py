@@ -75,9 +75,9 @@ class Encoder(Module):
                                 2 if i in (1, 3) else 1))
             c_prev = c_next
 
-    def __call__(self, image: Tensor) -> Tensor:
+    def __call__(self, image: np.ndarray) -> Tensor:
         """(3, H, W) image -> (c, H/4, W/4) feature map."""
-        if image.data.ndim != 3 or image.shape[0] != self.in_channels:
+        if image.ndim != 3 or image.shape[0] != self.in_channels:
             raise DimensionError("encoder expects (%d, H, W), got %s"
                                  % (self.in_channels, image.shape))
         if image.shape[1] % 4 or image.shape[2] % 4:
@@ -85,7 +85,7 @@ class Encoder(Module):
                                  "got %s" % (image.shape,))
         x = image
         for w, b, s in self.blocks:
-            x = ad.relu(ad.conv2d(x, w.value, b.value, stride=s))
+            x = ad.relu(ad.conv2d(x, w, b, stride=s))
         return x
 
 
@@ -94,28 +94,29 @@ def check_binary(arr: np.ndarray, what: str) -> None:
         raise ValidationError("%s must be binary (0/1 values only)" % what)
 
 
-def mask_to_feature_grid(mask: Tensor, height: int, width: int) -> Tensor:
+def mask_to_feature_grid(mask: np.ndarray, height: int,
+                         width: int) -> np.ndarray:
     """Downsample a binary (H, W) mask to (h, w) by mean pooling, then
-    re-binarize at 0.5 with ties rounding up. Not differentiable."""
-    if mask.data.ndim != 2:
+    re-binarize at 0.5 with ties rounding up."""
+    if mask.ndim != 2:
         raise DimensionError("mask must be (H, W), got %s" % (mask.shape,))
     big_h, big_w = mask.shape
     if big_h % height or big_w % width:
         raise DimensionError("mask %s does not pool evenly onto a %dx%d grid"
                              % ((big_h, big_w), height, width))
-    check_binary(mask.data, "mask")
+    check_binary(mask, "mask")
     fh, fw = big_h // height, big_w // width
-    pooled = mask.data.reshape(height, fh, width, fw).mean(axis=(1, 3))
-    return Tensor((pooled >= 0.5).astype(mask.data.dtype))
+    pooled = mask.reshape(height, fh, width, fw).mean(axis=(1, 3))
+    return (pooled >= 0.5).astype(mask.dtype)
 
 
-def apply_mask(fmap: Tensor, grid: Tensor) -> Tensor:
+def apply_mask(fmap: Tensor, grid: np.ndarray) -> Tensor:
     """Zero background positions of a (c, h, w) map with an (h, w) binary grid."""
-    if grid.data.ndim != 2 or fmap.data.ndim != 3 or fmap.shape[1:] != grid.shape:
+    if grid.ndim != 2 or fmap.data.ndim != 3 or fmap.shape[1:] != grid.shape:
         raise DimensionError("grid %s does not match feature map %s"
                              % (grid.shape, fmap.shape))
-    check_binary(grid.data, "feature grid")
-    return ad.mul(fmap, ad.reshape(grid, 1, *grid.shape))
+    check_binary(grid, "feature grid")
+    return ad.mul(fmap, grid.reshape(1, *grid.shape))
 
 
 def kshot_average(features: Sequence[Tensor]) -> Tensor:

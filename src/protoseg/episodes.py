@@ -18,8 +18,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .bilinear import bilinear_matrix
+from .encoder import mask_to_feature_grid
 from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
                      UsageError)
 from .seeding import derive_rng
@@ -266,7 +266,8 @@ def warp_mask(mask: np.ndarray, d: DistortionParams) -> np.ndarray:
 
 
 def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParams,
-                    seed: int, image_size: int = 64) -> tuple[Tensor, Tensor]:
+                    seed: int, image_size: int = 64
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Render one (image, mask) pair. Fully determined by the arguments.
 
     If the warped foreground fraction leaves [FG_MIN, FG_MAX] the shape is
@@ -295,8 +296,7 @@ def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParam
     inside = np.broadcast_to(mask, img.shape)
     shift = cls.defect_delta + rng.normal(0.0, cls.defect_noise, size=img.shape)
     img = np.clip(np.where(inside, img + shift, img), 0.0, 1.0)
-    return (Tensor(img.astype(np.float32)),
-            Tensor(mask.astype(np.float32)))
+    return img.astype(np.float32), mask.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +342,10 @@ def make_folds(class_ids: Sequence[int], seed: int, test_fold: int = 0) -> FoldS
 @dataclass
 class Episode:
     class_id: int
-    support_images: list[Tensor]
-    support_masks: list[Tensor]
-    query_image: Tensor
-    query_mask: Tensor
+    support_images: list[np.ndarray]
+    support_masks: list[np.ndarray]
+    query_image: np.ndarray
+    query_mask: np.ndarray
     seed: int
 
     @property
@@ -356,13 +356,6 @@ class Episode:
 @functools.cache
 def _class_table() -> Mapping[int, DefectClass]:
     return MappingProxyType({c.class_id: c for c in default_classes()})
-
-
-def _grid_nonempty(mask: Tensor, grid_size: int) -> bool:
-    size = mask.shape[0]
-    fh = size // grid_size
-    pooled = mask.data.reshape(grid_size, fh, grid_size, fh).mean(axis=(1, 3))
-    return bool(np.any(pooled >= 0.5))
 
 
 def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
@@ -395,7 +388,7 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
 
-    def draw_pair(which: str, index: int) -> tuple[Tensor, Tensor]:
+    def draw_pair(which: str, index: int) -> tuple[np.ndarray, np.ndarray]:
         for attempt in range(_GRID_RETRIES):
             sub = int(rng.integers(len(cls.substyles)))
             dist = DistortionParams(
@@ -407,7 +400,7 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
                                                 cls.perspective_max)))
             sample_seed = int(rng.integers(2 ** 31))
             img, mask = generate_sample(cls, sub, dist, sample_seed, image_size)
-            if _grid_nonempty(mask, grid_size):
+            if mask_to_feature_grid(mask, grid_size, grid_size).any():
                 return img, mask
             log.info("episode %d: resampling %s %d (empty feature grid, "
                      "attempt %d)", seed, which, index, attempt + 1)

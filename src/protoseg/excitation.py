@@ -19,19 +19,19 @@ from .reasoning import COSINE_EPS, NORM_SQ_EPS
 SPATIAL_KERNEL = 7          # width of the spatial attention conv
 
 
-def masked_avg_pool(x: DescriptorSet, grid: Tensor) -> Tensor:
+def masked_avg_pool(x: DescriptorSet, grid: np.ndarray) -> Tensor:
     """Average foreground descriptors into a (c, 1) guidance vector: the sum
     over foreground cells divided by the foreground cell count."""
-    if grid.data.ndim != 2 or grid.data.size != x.count:
+    if grid.ndim != 2 or grid.size != x.count:
         raise DimensionError("grid %s does not match descriptor count %d"
                              % (grid.shape, x.count))
-    check_binary(grid.data, "feature grid")
-    fg = float(grid.data.sum())
+    check_binary(grid, "feature grid")
+    fg = float(grid.sum())
     if fg == 0.0:
         raise DegenerateEpisodeError("support mask has no foreground at feature "
                                      "resolution")
-    flat = ad.reshape(grid, 1, x.count)
-    summed = ad.tensor_sum(ad.mul(x.data, flat), axis=1, keepdims=True)
+    summed = ad.tensor_sum(ad.mul(x.data, grid.reshape(1, x.count)), axis=1,
+                           keepdims=True)
     return ad.mul(summed, 1.0 / fg)
 
 
@@ -94,16 +94,14 @@ class FeatureExcitation(Module):
             raise DimensionError("expected (c, l) with c=%d, got %s"
                                  % (self.channels, p.shape))
         pooled = ad.avg_pool_global(p)
-        h = ad.relu(ad.add(ad.matmul(self.squeeze_w.value, pooled),
-                           self.squeeze_b.value))
-        gate = ad.sigmoid(ad.add(ad.matmul(self.expand_w.value, h),
-                                 self.expand_b.value))
+        h = ad.relu(ad.add(ad.matmul(self.squeeze_w, pooled), self.squeeze_b))
+        gate = ad.sigmoid(ad.add(ad.matmul(self.expand_w, h), self.expand_b))
         return ad.mul(p, gate)
 
     def spatial_attention(self, p: Tensor, height: int, width: int) -> Tensor:
         """Single-channel conv gate over the (h, w) layout of p."""
         grid = from_descriptors(p, height, width)
-        gate = ad.sigmoid(ad.conv2d(grid, self.spatial_w.value, self.spatial_b.value))
+        gate = ad.sigmoid(ad.conv2d(grid, self.spatial_w, self.spatial_b))
         return ad.reshape(ad.mul(grid, gate), self.channels, height * width)
 
     def fuse_edges(self, p_e: Tensor, d: Tensor) -> Tensor:
@@ -115,9 +113,9 @@ class FeatureExcitation(Module):
             raise DimensionError("edge field %s does not match descriptors %s"
                                  % (d.shape, p_e.shape))
         stacked = ad.concat([p_e, d], axis=0)
-        return ad.conv1d(stacked, self.fuse_w.value, self.fuse_b.value)
+        return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
-    def __call__(self, x_s: DescriptorSet, support_grid: Tensor,
+    def __call__(self, x_s: DescriptorSet, support_grid: np.ndarray,
                  x_q: DescriptorSet) -> Tensor:
         pooled = masked_avg_pool(x_s, support_grid)
         excited = self.channel_attention(guide(pooled, x_q))

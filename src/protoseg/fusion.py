@@ -27,25 +27,25 @@ class SegMask:
     def shape(self) -> tuple[int, ...]:
         return self.logits.shape
 
-    def binary(self, threshold: float = 0.5) -> Tensor:
+    def binary(self, threshold: float = 0.5) -> np.ndarray:
         return binarize(self.probabilities, threshold)
 
 
-def binarize(probabilities: Tensor, threshold: float = 0.5) -> Tensor:
-    """Threshold probabilities; ties go to foreground. Not differentiable."""
+def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
+    """Threshold probabilities; ties go to foreground."""
     p = probabilities.data
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
-    return Tensor((p >= threshold).astype(p.dtype))
+    return (p >= threshold).astype(p.dtype)
 
 
-def bce_loss(pred: SegMask, target: Tensor) -> Tensor:
+def bce_loss(pred: SegMask, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over pixels, probabilities clamped to
     [eps, 1-eps] so saturated outputs keep a finite loss."""
     if pred.probabilities.shape != target.shape:
         raise DimensionError("prediction %s and target %s differ"
                              % (pred.probabilities.shape, target.shape))
-    check_binary(target.data, "target mask")
+    check_binary(target, "target mask")
     p = ad.clamp(pred.probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
     hit = ad.mul(target, ad.log(p))
     miss = ad.mul(ad.add(ad.mul(target, -1.0), 1.0),
@@ -77,8 +77,8 @@ class FusionHead(Module):
         # the first loss is ln 2 and no seed starts saturated.
         self.cls_w = self.zeros("fusion.cls.weight", (1, c2, 1, 1))
         self.cls_b = self.zeros("fusion.cls.bias", (1,))
-        self.rows = Tensor(bilinear_matrix(out_h, grid_h, dtype))
-        self.cols = Tensor(bilinear_matrix(out_w, grid_w, dtype))
+        self.rows = bilinear_matrix(out_h, grid_h, dtype)
+        self.cols_t = bilinear_matrix(out_w, grid_w, dtype).T.copy()
 
     def __call__(self, main: Tensor, aux: Tensor) -> SegMask:
         if main.shape != aux.shape or main.shape != (self.channels,
@@ -92,11 +92,9 @@ class FusionHead(Module):
         for i in (0, 2):
             wa, ba = self.convs[i]
             wb, bb = self.convs[i + 1]
-            inner = ad.conv2d(ad.relu(ad.conv2d(x, wa.value, ba.value)),
-                              wb.value, bb.value)
+            inner = ad.conv2d(ad.relu(ad.conv2d(x, wa, ba)), wb, bb)
             x = ad.add(x, inner)
-        logits_grid = ad.conv2d(x, self.cls_w.value, self.cls_b.value)
+        logits_grid = ad.conv2d(x, self.cls_w, self.cls_b)
         logits_grid = ad.reshape(logits_grid, self.grid_h, self.grid_w)
-        logits = ad.matmul(ad.matmul(self.rows, logits_grid),
-                           ad.transpose(self.cols))
+        logits = ad.matmul(ad.matmul(self.rows, logits_grid), self.cols_t)
         return SegMask(logits=logits, probabilities=ad.sigmoid(logits))

@@ -51,13 +51,13 @@ class SGD:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         for p, v in zip(self.params, self.velocities):
             v *= self.momentum
-            v += p.grad
-            p.value.data -= self.learning_rate * v
+            v += 0 if p.grad is None else p.grad
+            p.data -= self.learning_rate * v
 
 
 def default_split(config: Config) -> FoldSplit:
@@ -201,8 +201,8 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
             ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
                                 ahead=stream)
             seg = net.forward(ep)
-            loss_values.append(
-                bce_loss(seg, net._as_tensor(ep.query_mask)).item())
+            target = ep.query_mask.astype(net.dtype, copy=False)
+            loss_values.append(bce_loss(seg, target).item())
             pred = seg.binary()
             score = iou(pred, ep.query_mask)
             pairs.append((ep.class_id, score))
@@ -287,14 +287,14 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
     # zero; audit at a generic point in weight space instead.
     for i, p in enumerate(net.parameters()):
         rng = derive_rng(toy.seed, "gradcheck", "weights", i)
-        p.value.data = rng.normal(0.0, 0.1, size=p.data.shape)
+        p.data = rng.normal(0.0, 0.1, size=p.shape)
     split = default_split(toy)
     episode = sample_episode(split, "train", 1,
                              derive_seed(toy.seed, "gradcheck-episode"), 16)
     grid = net.grid_size
     results: dict[str, float] = {}
 
-    image = Tensor(episode.query_image.data.astype(np.float64))
+    image = episode.query_image.astype(np.float64)
 
     def encoder_scalar():
         out = net.encoder(image)
@@ -316,9 +316,9 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         max_coords_per_param=max_coords_per_param)
 
     rng = derive_rng(toy.seed, "gradcheck", "grid")
-    grid_mask = Tensor((rng.random((grid, grid)) < 0.4).astype(np.float64))
-    if not np.any(grid_mask.data):
-        grid_mask.data[0, 0] = 1.0
+    grid_mask = (rng.random((grid, grid)) < 0.4).astype(np.float64)
+    if not np.any(grid_mask):
+        grid_mask[0, 0] = 1.0
 
     def excitation_scalar():
         out = net.excitation(x_s, grid_mask, x_q)
@@ -330,8 +330,8 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
 
     main = _random_descriptors(toy.channels, grid, toy.seed, "main").data
     aux = _random_descriptors(toy.channels, grid, toy.seed, "aux").data
-    target = Tensor((derive_rng(toy.seed, "gradcheck", "target")
-                     .random((16, 16)) < 0.3).astype(np.float64))
+    target = (derive_rng(toy.seed, "gradcheck", "target")
+              .random((16, 16)) < 0.3).astype(np.float64)
     results["fusion"] = grad_check(
         lambda: bce_loss(net.head(main, aux), target),
         net.head.parameters(), eps=eps,

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import DimensionError, IncompleteEvaluationError, ValidationError
+from .encoder import check_binary
+from .errors import DimensionError, IncompleteEvaluationError
 
 
-def _as_binary(x: Union[Tensor, np.ndarray], what: str) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError("%s must be binary" % what)
+def _as_binary(x: np.ndarray, what: str) -> np.ndarray:
+    arr = np.asarray(x)
+    check_binary(arr, what)
     return arr != 0
 
 

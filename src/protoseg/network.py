@@ -61,13 +61,13 @@ class FewShotSegmenter:
         return out
 
     def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
+        return sum(p.size for p in self.parameters())
 
     def module_parameter_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for p in self.parameters():
             module = p.name.split(".", 1)[0]
-            counts[module] = counts.get(module, 0) + p.data.size
+            counts[module] = counts.get(module, 0) + p.size
         return counts
 
     def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
@@ -79,34 +79,26 @@ class FewShotSegmenter:
                                  % (missing, extra))
         for name, p in params.items():
             arr = arrays[name]
-            if arr.shape != p.data.shape:
+            if arr.shape != p.shape:
                 raise DimensionError("parameter %r shape %s does not match %s"
-                                     % (name, arr.shape, p.data.shape))
-            p.value.data = arr.astype(self.dtype, copy=True)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+                                     % (name, arr.shape, p.shape))
+            p.data = arr.astype(self.dtype, copy=True)
 
     # -- forward -------------------------------------------------------------
 
-    def _as_tensor(self, t: Tensor) -> Tensor:
-        if t.data.dtype != self.dtype:
-            return Tensor(t.data.astype(self.dtype))
-        return t
-
-    def encode_support(self, episode: Episode) -> tuple[DescriptorSet, Tensor]:
+    def encode_support(self, episode: Episode
+                       ) -> tuple[DescriptorSet, np.ndarray]:
         """K-averaged masked support descriptors plus the union feature grid."""
         masked = []
         grids = []
         for img, msk in zip(episode.support_images, episode.support_masks):
-            fmap = self.encoder(self._as_tensor(img))
-            grid = mask_to_feature_grid(self._as_tensor(msk),
+            fmap = self.encoder(img.astype(self.dtype, copy=False))
+            grid = mask_to_feature_grid(msk.astype(self.dtype, copy=False),
                                         self.grid_size, self.grid_size)
             masked.append(apply_mask(fmap, grid))
-            grids.append(grid.data)
-        union = Tensor(np.clip(np.sum(grids, axis=0), 0.0, 1.0).astype(self.dtype))
-        if not np.any(union.data):
+            grids.append(grid)
+        union = np.clip(np.sum(grids, axis=0), 0.0, 1.0).astype(self.dtype)
+        if not np.any(union):
             raise DegenerateEpisodeError("support masks vanish at feature "
                                          "resolution (episode seed %d)"
                                          % episode.seed)
@@ -114,7 +106,8 @@ class FewShotSegmenter:
 
     def forward(self, episode: Episode) -> SegMask:
         # K is free at inference; config.k_shot only steers episode sampling.
-        x_q = to_descriptors(self.encoder(self._as_tensor(episode.query_image)))
+        image = episode.query_image.astype(self.dtype, copy=False)
+        x_q = to_descriptors(self.encoder(image))
         x_s, union_grid = self.encode_support(episode)
         main = (self.reasoning(x_s, x_q) if self.reasoning is not None
                 else x_q.data)
@@ -124,7 +117,7 @@ class FewShotSegmenter:
 
     def episode_loss(self, episode: Episode) -> tuple[Tensor, SegMask]:
         pred = self.forward(episode)
-        loss = bce_loss(pred, self._as_tensor(episode.query_mask))
+        loss = bce_loss(pred, episode.query_mask.astype(self.dtype, copy=False))
         return loss, pred
 
     __call__ = forward

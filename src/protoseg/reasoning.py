@@ -53,8 +53,7 @@ def build_adjacency(g: Tensor) -> Tensor:
         raise DimensionError("adjacency input must be rank 2, got %s" % (g.shape,))
     r = g.shape[0]
     sim = ad.relu(_cosine_rows(g))
-    hollow = Tensor(1.0 - np.eye(r, dtype=g.data.dtype))
-    masked = ad.mul(sim, hollow)
+    masked = ad.mul(sim, 1.0 - np.eye(r, dtype=g.data.dtype))
     # Cosine is symmetric mathematically; enforce it bitwise.
     return ad.mul(ad.add(masked, ad.transpose(masked)), 0.5)
 
@@ -72,8 +71,7 @@ def normalized_laplacian(a: Tensor) -> Tensor:
     if not np.allclose(a.data, a.data.T, atol=1e-8):
         raise ValidationError("adjacency must be symmetric")
     r = a.shape[0]
-    eye = Tensor(np.eye(r, dtype=a.data.dtype))
-    a_tilde = ad.add(a, eye)
+    a_tilde = ad.add(a, np.eye(r, dtype=a.data.dtype))
     degree = ad.tensor_sum(a_tilde, axis=1, keepdims=True)   # (r, 1)
     inv_sqrt = ad.power(degree, -0.5)
     return ad.mul(ad.mul(a_tilde, inv_sqrt), ad.transpose(inv_sqrt))
@@ -115,8 +113,8 @@ class GraphReasoning(Module):
         if x.channels != self.channels:
             raise DimensionError("descriptor channels %d do not match branch "
                                  "width %d" % (x.channels, self.channels))
-        node = ad.conv1d(x.data, self.node_w.value, self.node_b.value)
-        channel = ad.conv1d(x.data, self.channel_w.value, self.channel_b.value)
+        node = ad.conv1d(x.data, self.node_w, self.node_b)
+        channel = ad.conv1d(x.data, self.channel_w, self.channel_b)
         return PrototypePair(node=node, channel=channel)
 
     def relation_matrices(self, support: PrototypePair,
@@ -128,7 +126,7 @@ class GraphReasoning(Module):
         g_node = ad.matmul(query.node, ad.transpose(support.channel))
         g_channel = ad.matmul(query.channel, ad.transpose(support.node))
         stacked = ad.concat([g_node, ad.transpose(g_channel)], axis=0)  # (2r, r)
-        return ad.conv1d(stacked, self.fuse_w.value, self.fuse_b.value)
+        return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
     def reflect(self, relations: Tensor, query_node: Tensor,
                 x_q: DescriptorSet) -> Tensor:
@@ -136,7 +134,7 @@ class GraphReasoning(Module):
         c channels, standardize per channel, add onto the query descriptors."""
         weighted = ad.matmul(relations, query_node)            # (r, l)
         grid = from_descriptors(weighted, x_q.height, x_q.width)
-        mapped = ad.conv2d(grid, self.reflect_w.value, self.reflect_b.value)
+        mapped = ad.conv2d(grid, self.reflect_w, self.reflect_b)
         mu = ad.tensor_mean(mapped, axis=(1, 2), keepdims=True)
         centered = ad.add(mapped, ad.mul(mu, -1.0))
         var = ad.tensor_mean(ad.mul(centered, centered), axis=(1, 2), keepdims=True)
@@ -149,5 +147,5 @@ class GraphReasoning(Module):
         query = self.project(x_q)
         g = self.relation_matrices(support, query)
         lap = normalized_laplacian(build_adjacency(g))
-        refined = gcn_forward(g, lap, [t.value for t in self.thetas])
+        refined = gcn_forward(g, lap, self.thetas)
         return self.reflect(refined, query.node, x_q)

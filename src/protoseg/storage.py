@@ -95,11 +95,21 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
 # checkpoints
 
 
+def _parameter_names(header: dict) -> list[str]:
+    names = header.get("parameters")
+    if not isinstance(names, list):
+        raise FormatError("parameters: header field missing or not a list")
+    if (not all(isinstance(n, str) for n in names)
+            or len(set(names)) != len(names)):
+        raise FormatError("parameters: entries must be distinct strings")
+    return names
+
+
 def write_checkpoint(path: Union[str, os.PathLike], header: dict,
                      arrays: dict[str, np.ndarray]) -> None:
     """header must carry a 'parameters' name list matching `arrays` exactly."""
-    names = header.get("parameters")
-    if names is None or set(names) != set(arrays):
+    names = _parameter_names(header)
+    if set(names) != set(arrays):
         raise FormatError("parameters: header list does not match supplied arrays")
     buf = io.BytesIO()
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
@@ -126,10 +136,7 @@ def read_checkpoint(path: Union[str, os.PathLike]) -> tuple[dict, dict[str, np.n
     if not isinstance(header, dict):
         raise FormatError("header: expected a JSON object, found %s"
                           % type(header).__name__)
-    names = header.get("parameters")
-    if not isinstance(names, list):
-        raise FormatError("parameters: header field missing or not a list")
-    arrays = {name: read_tensor(fh) for name in names}
+    arrays = {name: read_tensor(fh) for name in _parameter_names(header)}
     if fh.read(1):
         raise FormatError("payload: trailing bytes after final tensor record")
     return header, arrays

@@ -120,7 +120,7 @@ def test_oracle_suite():
             grid[0, 0] = 1.0
         dset = DescriptorSet(Tensor(xp), side, side)
         track("pooling",
-              np.abs(masked_avg_pool(dset, Tensor(grid)).data
+              np.abs(masked_avg_pool(dset, grid).data
                      - oracles.naive_masked_pool(xp, grid)).max())
 
         g = rng.normal(size=(int(rng.integers(2, 9)), int(rng.integers(2, 9))))
@@ -137,12 +137,12 @@ def test_oracle_suite():
         probs = rng.uniform(0.01, 0.99, size=(8, 8))
         target = (rng.random((8, 8)) < 0.5).astype(float)
         seg = SegMask(probabilities=Tensor(probs), logits=Tensor(np.log(probs / (1 - probs))))
-        track("bce", abs(bce_loss(seg, Tensor(target)).item()
+        track("bce", abs(bce_loss(seg, target).item()
                          - oracles.naive_bce(probs, target)))
 
         pm = (rng.random((8, 8)) < 0.4).astype(float)
         gm = (rng.random((8, 8)) < 0.4).astype(float)
-        track("iou", abs(iou(Tensor(pm), Tensor(gm)) - oracles.naive_iou(pm, gm)))
+        track("iou", abs(iou(pm, gm) - oracles.naive_iou(pm, gm)))
 
     elapsed = time.monotonic() - start
     bad = {k: v for k, v in worst.items() if v >= ORACLE_TOL}
@@ -198,7 +198,7 @@ def test_structural_suite():
     exc = FeatureExcitation(channels=c, reduction=4, descriptor_count=side * side,
                             edge_fusion=True, seed=5, dtype=np.float64)
     for p in exc.parameters():
-        p.value.data[...] = 0.0
+        p.data[...] = 0.0
     probe = Tensor(rng.normal(size=(c, side * side)))
     assert np.array_equal(exc.channel_attention(probe).data, 0.5 * probe.data)
     assert np.array_equal(exc.spatial_attention(probe, side, side).data,
@@ -207,7 +207,7 @@ def test_structural_suite():
     # identity projection through the edge-fuse conv returns its main input
     eye = np.zeros((c, c + side * side, 1))
     eye[:, :c, 0] = np.eye(c)
-    exc.fuse_w.value.data[...] = eye
+    exc.fuse_w.data[...] = eye
     fused = exc.fuse_edges(probe, Tensor(rng.normal(size=(side * side, side * side))))
     assert np.array_equal(fused.data, probe.data)
 
@@ -217,7 +217,7 @@ def test_structural_suite():
     assert np.allclose(kshot_average([f, f, f]).data, f.data, atol=STRUCT_TOL)
 
     # masking is idempotent
-    grid = Tensor((rng.random((side, side)) < 0.5).astype(float))
+    grid = (rng.random((side, side)) < 0.5).astype(float)
     once = apply_mask(f, grid)
     twice = apply_mask(once, grid)
     assert np.array_equal(twice.data, once.data)
@@ -239,28 +239,28 @@ def test_metric_suite():
     rng = np.random.default_rng(11)
     mask = (rng.random((6, 6)) < 0.5).astype(float)
     mask[0, 0] = 1.0
-    assert iou(Tensor(mask), Tensor(mask)) == 1.0
+    assert iou(mask, mask) == 1.0
     a = np.zeros((4, 4)); a[0, :] = 1.0
     b = np.zeros((4, 4)); b[3, :] = 1.0
-    assert iou(Tensor(a), Tensor(b)) == 0.0
+    assert iou(a, b) == 0.0
 
     # 4x4 grid, 8 predicted, 8 true, 4 overlapping -> 4/12
     pred = np.zeros((4, 4)); pred[:2, :] = 1.0
     gt = np.zeros((4, 4)); gt[1:3, :] = 1.0
-    assert iou(Tensor(pred), Tensor(gt)) == pytest.approx(4.0 / 12.0, abs=0)
+    assert iou(pred, gt) == pytest.approx(4.0 / 12.0, abs=0)
 
     assert miou([(1, 1.0), (2, 1.0)], (1, 2)) == 1.0
     assert miou([(1, 0.1), (1, 0.3), (2, 0.6)], (1, 2)) == pytest.approx(0.4)
 
-    assert fb_iou(Tensor(pred), Tensor(gt)) == pytest.approx(
+    assert fb_iou(pred, gt) == pytest.approx(
         (4.0 / 12.0 + 4.0 / 12.0) / 2.0)
     half = np.zeros((4, 4)); half[:2, :] = 1.0
-    assert fb_iou(Tensor(half), Tensor(1.0 - half)) == 0.0
+    assert fb_iou(half, 1.0 - half) == 0.0
     pm = (rng.random((8, 8)) < 0.4).astype(float)
     gm = (rng.random((8, 8)) < 0.4).astype(float)
     expected = 0.5 * (oracles.naive_iou(pm, gm)
                       + oracles.naive_iou(1.0 - pm, 1.0 - gm))
-    assert fb_iou(Tensor(pm), Tensor(gm)) == pytest.approx(expected, abs=0)
+    assert fb_iou(pm, gm) == pytest.approx(expected, abs=0)
 
     # nested mean weights classes equally; pooled mean would not
     pairs = [(1, 1.0), (1, 0.0), (2, 0.0)]

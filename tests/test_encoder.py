@@ -13,7 +13,7 @@ from protoseg.errors import ConfigError, DimensionError, ValidationError
 
 def rand_image(size=16, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    return Tensor(rng.uniform(0, 1, size=(3, size, size)).astype(dtype))
+    return rng.uniform(0, 1, size=(3, size, size)).astype(dtype)
 
 
 def test_encoder_output_geometry():
@@ -30,7 +30,7 @@ def test_encoder_rejects_shallow_depth():
 def test_encoder_rejects_indivisible_input():
     enc = Encoder(3, 8, width=4, depth=4, seed=0)
     with pytest.raises(DimensionError):
-        enc(Tensor(np.zeros((3, 15, 16), dtype=np.float32)))
+        enc(np.zeros((3, 15, 16), dtype=np.float32))
 
 
 def test_encoder_deterministic_init():
@@ -69,9 +69,9 @@ def test_descriptor_order_is_row_major():
 def test_descriptor_round_trip_differentiable():
     from protoseg.autodiff import Parameter, Tape, backward
 
-    p = Parameter("f", Tensor(np.ones((2, 3, 3)), requires_grad=True))
+    p = Parameter("f", np.ones((2, 3, 3)))
     with Tape() as tape:
-        ds = to_descriptors(p.value)
+        ds = to_descriptors(p)
         out = ad.tensor_sum(ad.mul(ds.data, 2.0))
     backward(tape, out)
     assert np.allclose(p.grad, 2.0)
@@ -86,26 +86,26 @@ def test_mask_to_feature_grid_majority_pool():
     mask[0:4, 0:4] = 1.0          # cell (0,0) fully on
     mask[0:2, 4:8] = 1.0          # cell (0,1) exactly half: ties go up
     mask[4, 0] = 1.0              # cell (1,0) 1/16 on
-    grid = mask_to_feature_grid(Tensor(mask), 2, 2)
-    assert np.array_equal(grid.data, np.array([[1, 1], [0, 0]], dtype=np.float32))
+    grid = mask_to_feature_grid(mask, 2, 2)
+    assert np.array_equal(grid, np.array([[1, 1], [0, 0]], dtype=np.float32))
 
 
 def test_mask_grid_rejects_indivisible():
     with pytest.raises(DimensionError):
-        mask_to_feature_grid(Tensor(np.zeros((9, 8), dtype=np.float32)), 2, 2)
+        mask_to_feature_grid(np.zeros((9, 8), dtype=np.float32), 2, 2)
 
 
 def test_mask_grid_rejects_non_binary():
     with pytest.raises(ValidationError):
-        mask_to_feature_grid(Tensor(np.full((8, 8), 0.3, dtype=np.float32)), 2, 2)
+        mask_to_feature_grid(np.full((8, 8), 0.3, dtype=np.float32), 2, 2)
 
 
 def test_apply_mask_zeroes_background():
     rng = np.random.default_rng(4)
     fmap = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
-    grid = Tensor(np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.float32))
+    grid = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.float32)
     masked = apply_mask(fmap, grid)
-    off = grid.data == 0
+    off = grid == 0
     assert np.all(masked.data[:, off] == 0.0)
     assert np.array_equal(masked.data[:, ~off], fmap.data[:, ~off])
 
@@ -113,7 +113,7 @@ def test_apply_mask_zeroes_background():
 def test_apply_mask_idempotent_bit_exact():
     rng = np.random.default_rng(5)
     fmap = Tensor(rng.normal(size=(3, 2, 2)).astype(np.float32))
-    grid = Tensor(np.array([[1, 0], [0, 1]], dtype=np.float32))
+    grid = np.array([[1, 0], [0, 1]], dtype=np.float32)
     once = apply_mask(fmap, grid)
     twice = apply_mask(once, grid)
     assert np.array_equal(once.data, twice.data)
@@ -122,7 +122,7 @@ def test_apply_mask_idempotent_bit_exact():
 def test_apply_mask_rejects_non_binary_grid():
     fmap = Tensor(np.ones((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValidationError):
-        apply_mask(fmap, Tensor(np.full((2, 2), 0.5, dtype=np.float32)))
+        apply_mask(fmap, np.full((2, 2), 0.5, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

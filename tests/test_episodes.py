@@ -51,17 +51,17 @@ def test_generate_sample_deterministic_bit_exact():
     d = DistortionParams(0.1, 1.05, 0.02, -0.03)
     img1, msk1 = generate_sample(CLASSES[4], 1, d, seed=99, image_size=32)
     img2, msk2 = generate_sample(CLASSES[4], 1, d, seed=99, image_size=32)
-    assert np.array_equal(img1.data, img2.data)
-    assert np.array_equal(msk1.data, msk2.data)
+    assert np.array_equal(img1, img2)
+    assert np.array_equal(msk1, msk2)
 
 
 def test_generate_sample_output_contract():
     img, msk = generate_sample(CLASSES[0], 0, IDENT, seed=7, image_size=32)
     assert img.shape == (3, 32, 32)
     assert msk.shape == (32, 32)
-    assert img.data.dtype == np.float32
-    assert img.data.min() >= 0.0 and img.data.max() <= 1.0
-    assert set(np.unique(msk.data)) <= {0.0, 1.0}
+    assert img.dtype == np.float32
+    assert img.min() >= 0.0 and img.max() <= 1.0
+    assert set(np.unique(msk)) <= {0.0, 1.0}
 
 
 @pytest.mark.parametrize("cid", range(12))
@@ -74,7 +74,7 @@ def test_foreground_fraction_bounds(cid):
                              0.0)
         _, msk = generate_sample(cls, seed % len(cls.substyles), d,
                                  seed=seed, image_size=64)
-        frac = float(msk.data.mean())
+        frac = float(msk.mean())
         assert 0.02 <= frac <= 0.60
 
 
@@ -212,16 +212,16 @@ def test_episode_deterministic():
     a = sample_episode(SPLIT, "train", 2, seed=11, image_size=32)
     b = sample_episode(SPLIT, "train", 2, seed=11, image_size=32)
     assert a.class_id == b.class_id
-    assert np.array_equal(a.query_image.data, b.query_image.data)
+    assert np.array_equal(a.query_image, b.query_image)
     for sa, sb in zip(a.support_masks, b.support_masks):
-        assert np.array_equal(sa.data, sb.data)
+        assert np.array_equal(sa, sb)
 
 
 def test_episode_support_masks_nonempty_at_grid():
     for seed in range(30):
         ep = sample_episode(SPLIT, "train", 1, seed, 32)
         for m in ep.support_masks:
-            pooled = m.data.reshape(8, 4, 8, 4).mean(axis=(1, 3))
+            pooled = m.reshape(8, 4, 8, 4).mean(axis=(1, 3))
             assert (pooled >= 0.5).any()
 
 
@@ -255,16 +255,16 @@ def test_golden_episode_digest():
                     digest.update(np.int64(ep.class_id).tobytes())
                     for t in (*ep.support_images, *ep.support_masks,
                               ep.query_image, ep.query_mask):
-                        digest.update(t.data.tobytes())
+                        digest.update(t.tobytes())
     assert families == {"scratch", "patch", "pits"}
     assert digest.hexdigest() == GOLDEN_EPISODE_DIGEST
 
 
 def _fingerprint(ep):
-    tensors = (*ep.support_images, *ep.support_masks, ep.query_image,
-               ep.query_mask)
+    arrays = (*ep.support_images, *ep.support_masks, ep.query_image,
+              ep.query_mask)
     return (ep.class_id, ep.seed,
-            [(t.dtype.str, t.shape, t.data.tobytes()) for t in tensors])
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
 
 
 @pytest.mark.parametrize("size", (32, 64))

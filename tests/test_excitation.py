@@ -41,7 +41,7 @@ def test_masked_pool_matches_naive(seed):
     grid = (rng.random((3, 3)) > 0.4).astype(np.float64)
     if grid.sum() == 0:
         grid[1, 1] = 1.0
-    got = masked_avg_pool(ds, Tensor(grid)).data
+    got = masked_avg_pool(ds, grid).data
     want = naive_masked_pool(ds.data.data, grid)
     assert got.shape == (4, 1)
     assert np.abs(got - want).max() < 1e-12
@@ -49,26 +49,26 @@ def test_masked_pool_matches_naive(seed):
 
 def test_masked_pool_full_grid_is_plain_mean():
     ds = rand_ds(3, 2, 2, 1)
-    got = masked_avg_pool(ds, Tensor(np.ones((2, 2)))).data
+    got = masked_avg_pool(ds, np.ones((2, 2))).data
     assert np.allclose(got, ds.data.data.mean(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_masked_pool_empty_grid_raises():
     ds = rand_ds(3, 2, 2, 2)
     with pytest.raises(DegenerateEpisodeError):
-        masked_avg_pool(ds, Tensor(np.zeros((2, 2))))
+        masked_avg_pool(ds, np.zeros((2, 2)))
 
 
 def test_masked_pool_rejects_non_binary():
     ds = rand_ds(3, 2, 2, 3)
     with pytest.raises(ValidationError):
-        masked_avg_pool(ds, Tensor(np.full((2, 2), 0.7)))
+        masked_avg_pool(ds, np.full((2, 2), 0.7))
 
 
 def test_masked_pool_rejects_size_mismatch():
     ds = rand_ds(3, 2, 2, 4)
     with pytest.raises(DimensionError):
-        masked_avg_pool(ds, Tensor(np.ones((3, 2))))
+        masked_avg_pool(ds, np.ones((3, 2)))
 
 
 def test_guide_broadcasts_channelwise():
@@ -137,7 +137,7 @@ def test_construction_validates_reduction():
 def test_channel_attention_zero_weights_halve():
     br = make_branch()
     for p in (br.squeeze_w, br.squeeze_b, br.expand_w, br.expand_b):
-        p.value.data[:] = 0.0
+        p.data[:] = 0.0
     x = rand_ds(8, 4, 4, 10)
     out = br.channel_attention(x.data).data
     assert np.array_equal(out, 0.5 * x.data.data)
@@ -145,8 +145,8 @@ def test_channel_attention_zero_weights_halve():
 
 def test_spatial_attention_zero_weights_halve():
     br = make_branch()
-    br.spatial_w.value.data[:] = 0.0
-    br.spatial_b.value.data[:] = 0.0
+    br.spatial_w.data[:] = 0.0
+    br.spatial_b.data[:] = 0.0
     x = rand_ds(8, 4, 4, 11)
     out = br.spatial_attention(x.data, 4, 4).data
     assert np.allclose(out, 0.5 * x.data.data, atol=1e-15)
@@ -164,10 +164,10 @@ def test_fuse_edges_identity_projection_case():
     # Weight = [I | 0] with zero bias must pass the excited block through
     # untouched, ignoring the edge columns.
     br = make_branch(channels=4, reduction=2, count=9, edges=True)
-    br.fuse_w.value.data[:] = 0.0
+    br.fuse_w.data[:] = 0.0
     for i in range(4):
-        br.fuse_w.value.data[i, i, 0] = 1.0
-    br.fuse_b.value.data[:] = 0.0
+        br.fuse_w.data[i, i, 0] = 1.0
+    br.fuse_b.data[:] = 0.0
     p_e = rand_ds(4, 3, 3, 13)
     d = Tensor(np.random.default_rng(14).normal(size=(9, 9)))
     out = br.fuse_edges(p_e.data, d).data
@@ -189,9 +189,9 @@ def test_fuse_edges_rejects_bad_field_shape():
 def test_call_routes_both_configurations():
     xs = rand_ds(8, 4, 4, 17)
     xq = rand_ds(8, 4, 4, 18)
-    grid = Tensor((np.random.default_rng(19).random((4, 4)) > 0.5).astype(np.float64))
-    if grid.data.sum() == 0:
-        grid.data[0, 0] = 1.0
+    grid = (np.random.default_rng(19).random((4, 4)) > 0.5).astype(np.float64)
+    if grid.sum() == 0:
+        grid[0, 0] = 1.0
     with_edges = make_branch(edges=True)(xs, grid, xq)
     without = make_branch(edges=False)(xs, grid, xq)
     assert with_edges.shape == (8, 16)
@@ -207,7 +207,7 @@ def test_branch_gradients():
     br = make_branch(channels=6, reduction=3, count=4, edges=True, seed=5)
     xs = rand_ds(6, 2, 2, 20)
     xq = rand_ds(6, 2, 2, 21)
-    grid = Tensor(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    grid = np.array([[1.0, 0.0], [1.0, 1.0]])
 
     def f():
         out = br(xs, grid, xq)
@@ -218,12 +218,11 @@ def test_branch_gradients():
 
 
 def test_masked_pool_gradient():
-    data = Parameter("x", Tensor(np.random.default_rng(22).normal(size=(3, 4)),
-                                 requires_grad=True))
-    grid = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    data = Parameter("x", np.random.default_rng(22).normal(size=(3, 4)))
+    grid = np.array([[1.0, 0.0], [0.0, 1.0]])
 
     def f():
-        ds = DescriptorSet(data.value, 2, 2)
+        ds = DescriptorSet(data, 2, 2)
         pooled = masked_avg_pool(ds, grid)
         return ad.tensor_sum(ad.mul(pooled, pooled))
 

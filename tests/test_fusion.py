@@ -48,7 +48,7 @@ def test_bilinear_preserves_linear_ramp_interior():
 
 def test_binarize_threshold_and_ties():
     p = Tensor(np.array([[0.2, 0.5], [0.51, 0.49]]))
-    out = binarize(p).data
+    out = binarize(p)
     assert np.array_equal(out, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -66,7 +66,7 @@ def seg_from_logits(z):
 
 def test_bce_at_half_is_ln2():
     pred = seg_from_logits(np.zeros((4, 4)))
-    target = Tensor(np.random.default_rng(0).integers(0, 2, (4, 4)).astype(np.float64))
+    target = np.random.default_rng(0).integers(0, 2, (4, 4)).astype(np.float64)
     assert abs(bce_loss(pred, target).item() - np.log(2.0)) < 1e-12
 
 
@@ -75,7 +75,7 @@ def test_bce_matches_naive(seed):
     rng = np.random.default_rng(seed)
     z = rng.normal(scale=2.0, size=(3, 5))
     t = rng.integers(0, 2, (3, 5)).astype(np.float64)
-    got = bce_loss(seg_from_logits(z), Tensor(t)).item()
+    got = bce_loss(seg_from_logits(z), t).item()
     p = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-7, 1.0 - 1e-7)
     want = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean()
     assert abs(got - want) < 1e-12
@@ -83,7 +83,7 @@ def test_bce_matches_naive(seed):
 
 def test_bce_saturated_logits_stay_finite():
     pred = seg_from_logits(np.array([[40.0, -40.0]]))
-    target = Tensor(np.array([[0.0, 1.0]]))
+    target = np.array([[0.0, 1.0]])
     value = bce_loss(pred, target).item()
     assert np.isfinite(value)
     assert abs(value - (-np.log(1e-7))) < 1e-6
@@ -92,19 +92,18 @@ def test_bce_saturated_logits_stay_finite():
 def test_bce_shape_and_binary_validation():
     pred = seg_from_logits(np.zeros((2, 2)))
     with pytest.raises(DimensionError):
-        bce_loss(pred, Tensor(np.zeros((3, 2))))
+        bce_loss(pred, np.zeros((3, 2)))
     with pytest.raises(ValidationError):
-        bce_loss(pred, Tensor(np.full((2, 2), 0.4)))
+        bce_loss(pred, np.full((2, 2), 0.4))
 
 
 def test_bce_gradient():
-    z = Parameter("z", Tensor(np.random.default_rng(1).normal(size=(3, 3)),
-                              requires_grad=True))
-    t = Tensor(np.random.default_rng(2).integers(0, 2, (3, 3)).astype(np.float64))
+    z = Parameter("z", np.random.default_rng(1).normal(size=(3, 3)))
+    t = np.random.default_rng(2).integers(0, 2, (3, 3)).astype(np.float64)
 
     def f():
-        probs = ad.sigmoid(z.value)
-        return bce_loss(SegMask(logits=z.value, probabilities=probs), t)
+        probs = ad.sigmoid(z)
+        return bce_loss(SegMask(logits=z, probabilities=probs), t)
 
     assert grad_check(f, [z], eps=1e-6) < 1e-8
 
@@ -142,10 +141,10 @@ def test_head_opens_at_exactly_half():
 def test_head_residual_zero_weight_identity():
     head = make_head()
     for w, b in head.convs:
-        w.value.data[:] = 0.0
-        b.value.data[:] = 0.0
-    head.cls_w.value.data[:] = 0.0
-    head.cls_b.value.data[:] = 1.3
+        w.data[:] = 0.0
+        b.data[:] = 0.0
+    head.cls_w.data[:] = 0.0
+    head.cls_b.data[:] = 1.3
     seg = head(rand_branch(4, 9, 5), rand_branch(4, 9, 6))
     assert np.abs(seg.logits.data - 1.3).max() < 1e-12
 
@@ -163,10 +162,10 @@ def test_head_gradients():
     # zero-init layers hide gradient paths; audit at a generic point
     rng = np.random.default_rng(11)
     for p in head.parameters():
-        p.value.data[:] = rng.normal(0.0, 0.1, size=p.shape)
+        p.data[:] = rng.normal(0.0, 0.1, size=p.shape)
     main = rand_branch(3, 4, 12)
     aux = rand_branch(3, 4, 13)
-    target = Tensor(np.random.default_rng(14).integers(0, 2, (4, 4)).astype(np.float64))
+    target = np.random.default_rng(14).integers(0, 2, (4, 4)).astype(np.float64)
 
     def f():
         return bce_loss(head(main, aux), target)

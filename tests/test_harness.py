@@ -37,7 +37,7 @@ def _score_as(net, probabilities):
 
     def forward(ep):
         scored.append(ep.seed)
-        p = probabilities(ep)
+        p = Tensor(probabilities(ep))
         return SegMask(logits=p, probabilities=p)
 
     net.forward = forward
@@ -49,13 +49,13 @@ def _score_as(net, probabilities):
 
 
 def test_sgd_matches_hand_rollout():
-    p = Parameter("p", Tensor(np.array([1.0, -2.0]), requires_grad=True))
+    p = Parameter("p", np.array([1.0, -2.0]))
     opt = SGD([p], learning_rate=0.1, momentum=0.9)
     theta = np.array([1.0, -2.0])
     v = np.zeros(2)
     for step in range(4):
         g = np.array([0.5, -1.0]) * (step + 1)
-        p.value.grad = g.copy()
+        p.grad = g.copy()
         opt.step()
         v = 0.9 * v + g
         theta = theta - 0.1 * v
@@ -63,19 +63,32 @@ def test_sgd_matches_hand_rollout():
 
 
 def test_sgd_zero_lr_freezes_parameters():
-    p = Parameter("p", Tensor(np.ones(3), requires_grad=True))
+    p = Parameter("p", np.ones(3))
     opt = SGD([p], learning_rate=0.0, momentum=0.9)
-    p.value.grad = np.full(3, 7.0)
+    p.grad = np.full(3, 7.0)
     opt.step()
     assert np.array_equal(p.data, np.ones(3))
 
 
 def test_sgd_no_momentum_is_plain_descent():
-    p = Parameter("p", Tensor(np.zeros(2), requires_grad=True))
+    p = Parameter("p", np.zeros(2))
     opt = SGD([p], learning_rate=0.5, momentum=0.0)
-    p.value.grad = np.array([1.0, -2.0])
+    p.grad = np.array([1.0, -2.0])
     opt.step()
     assert np.allclose(p.data, [-0.5, 1.0])
+
+
+def test_sgd_treats_missing_grad_as_zero():
+    # grad None means no gradient reached the parameter; momentum still
+    # carries the previous step.
+    p = Parameter("p", np.zeros(2))
+    opt = SGD([p], learning_rate=0.5, momentum=0.5)
+    p.grad = np.array([1.0, -2.0])
+    opt.step()
+    opt.zero_grad()
+    assert p.grad is None
+    opt.step()
+    assert np.array_equal(p.data, [-0.75, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,7 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     class Poisoned(FewShotSegmenter):
         def __init__(self, config, dtype=np.float32):
             super().__init__(config, dtype)
-            self.head.cls_b.value.data[:] = np.nan
+            self.head.cls_b.data[:] = np.nan
 
     monkeypatch.setattr(harness, "FewShotSegmenter", Poisoned)
     with pytest.raises(TrainingError) as err:
@@ -300,7 +313,7 @@ def test_evaluate_ground_truth_hook_scores_one():
 
 def test_evaluate_all_ones_hook_matches_fg_rate():
     net = FewShotSegmenter(TINY)
-    _score_as(net, lambda ep: Tensor(np.ones((16, 16), dtype=np.float32)))
+    _score_as(net, lambda ep: np.ones((16, 16), dtype=np.float32))
     report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
     assert 0.0 < report.miou < 0.7  # fg fractions live in [0.02, 0.6]
 

@@ -5,10 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from protoseg.autodiff import Tensor
 from protoseg.config import Config
 from protoseg.episodes import Episode, make_folds, sample_episode
 from protoseg.errors import DegenerateEpisodeError, DimensionError
+from protoseg.harness import SGD
 from protoseg.network import FewShotSegmenter
 
 TOY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
@@ -117,10 +117,10 @@ def test_encode_support_union_grid():
     assert x_s.channels == 8 and x_s.count == 16
     grids = []
     for msk in ep.support_masks:
-        pooled = msk.data.reshape(4, 4, 4, 4).mean(axis=(1, 3))
+        pooled = msk.reshape(4, 4, 4, 4).mean(axis=(1, 3))
         grids.append((pooled >= 0.5).astype(np.float32))
     want = np.clip(np.sum(grids, axis=0), 0.0, 1.0)
-    assert np.array_equal(union.data, want)
+    assert np.array_equal(union, want)
 
 
 def test_encode_support_empty_mask_raises_with_seed():
@@ -128,7 +128,7 @@ def test_encode_support_empty_mask_raises_with_seed():
     ep = sample_episode(SPLIT, "train", 1, seed=7, image_size=16)
     empty = Episode(class_id=ep.class_id,
                     support_images=ep.support_images,
-                    support_masks=[Tensor(np.zeros((16, 16), dtype=np.float32))],
+                    support_masks=[np.zeros((16, 16), dtype=np.float32)],
                     query_image=ep.query_image,
                     query_mask=ep.query_mask,
                     seed=4242)
@@ -169,8 +169,8 @@ def test_zero_grad_clears_all():
         loss, _ = net.episode_loss(ep)
     backward(tape, loss)
     assert any(np.abs(p.grad).max() > 0 for p in net.parameters())
-    net.zero_grad()
-    assert all(np.all(p.grad == 0) for p in net.parameters())
+    SGD(net.parameters(), learning_rate=0.1).zero_grad()
+    assert all(p.grad is None for p in net.parameters())
 
 
 def test_f64_mode_propagates():

@@ -62,9 +62,9 @@ def test_adjacency_gradient_finite_with_zero_rows():
     # gradient there instead of producing inf/nan (0**-0.5 style blowups).
     from protoseg.autodiff import Tape, backward
 
-    g = Parameter("g", t64(np.vstack([np.zeros(3), np.ones(3), [1.0, -2.0, 0.5]])))
+    g = Parameter("g", np.vstack([np.zeros(3), np.ones(3), [1.0, -2.0, 0.5]]))
     with Tape() as tape:
-        out = ad.tensor_sum(build_adjacency(g.value))
+        out = ad.tensor_sum(build_adjacency(g))
     backward(tape, out)
     assert np.all(np.isfinite(g.grad))
     assert np.all(g.grad[0] == 0.0)  # clamped-off row contributes nothing
@@ -72,10 +72,10 @@ def test_adjacency_gradient_finite_with_zero_rows():
 
 def test_adjacency_gradient_check_away_from_zero_rows():
     rng = np.random.default_rng(77)
-    g = Parameter("g", t64(rng.normal(size=(5, 4)) + 0.5))
+    g = Parameter("g", rng.normal(size=(5, 4)) + 0.5)
 
     def f():
-        return ad.tensor_sum(build_adjacency(g.value))
+        return ad.tensor_sum(build_adjacency(g))
 
     assert grad_check(f, [g], eps=1e-6) < 1e-7
 
@@ -198,7 +198,7 @@ def test_reflect_zero_relations_residual_identity():
 def test_reflect_zero_relations_identity_with_nonzero_bias():
     br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, seed=3,
                         dtype=np.float64)
-    br.reflect_b.value.data[:] = 1.7  # constant shift; centering removes it
+    br.reflect_b.data[:] = 1.7  # constant shift; centering removes it
     x_q = rand_ds(8, 4, 4, 10)
     query = br.project(x_q)
     out = br.reflect(Tensor(np.zeros((4, 4))), query.node, x_q)

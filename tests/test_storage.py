@@ -190,3 +190,21 @@ def test_checkpoint_missing_header(tmp_path):
     path.write_bytes(b"not json\n")
     with pytest.raises(FormatError):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("names", [["w", "w"], ["w", 1], [["w"]]])
+def test_checkpoint_parameter_names_must_be_distinct_strings(tmp_path, names):
+    # A repeated name would load silently, its last record winning.
+    buf = io.BytesIO()
+    buf.write(json.dumps({"parameters": names}).encode() + b"\n")
+    for value in range(len(names)):
+        write_tensor(buf, np.full(2, value, dtype=np.float32))
+    path = tmp_path / "names.ckpt"
+    path.write_bytes(buf.getvalue())
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert str(err.value).startswith("parameters:")
+    with pytest.raises(FormatError) as err:
+        write_checkpoint(tmp_path / "out.ckpt", {"parameters": names},
+                         {"w": np.zeros(2, dtype=np.float32)})
+    assert str(err.value).startswith("parameters:")
