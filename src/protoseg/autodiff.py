@@ -330,18 +330,10 @@ def reshape(a, *shape) -> Tensor:
     a = _coerce(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    target = tuple(int(s) for s in shape)
-    if target.count(-1) > 1:
-        raise DimensionError("at most one reshape extent may be -1, got %s"
-                             % (target,))
-    if -1 in target:
-        rest = int(np.prod([s for s in target if s != -1], dtype=np.int64))
-        if rest == 0 or a.data.size % rest:
-            raise DimensionError("cannot reshape %s into %s" % (a.shape, target))
-        target = tuple(a.data.size // rest if s == -1 else s for s in target)
-    if int(np.prod(target, dtype=np.int64)) != a.data.size:
-        raise DimensionError("cannot reshape %s into %s" % (a.shape, target))
-    out = Tensor(a.data.reshape(target))
+    try:
+        out = Tensor(a.data.reshape(shape))
+    except ValueError:
+        raise DimensionError("cannot reshape %s into %s" % (a.shape, shape)) from None
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.shape))
@@ -365,21 +357,19 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     parts = [_coerce(t) for t in tensors]
     if not parts:
         raise UsageError("concat of an empty sequence")
-    ndim = parts[0].data.ndim
-    for p in parts[1:]:
-        if p.data.ndim != ndim:
-            raise DimensionError("concat rank mismatch: %s vs %s" % (parts[0].shape, p.shape))
-        for ax in range(ndim):
-            if ax != axis % ndim and p.shape[ax] != parts[0].shape[ax]:
-                raise DimensionError("concat extent mismatch on axis %d: %s vs %s"
-                                     % (ax, parts[0].shape, p.shape))
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis % ndim] for p in parts])
+    try:
+        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    except ValueError:  # numpy's AxisError is a ValueError too
+        raise DimensionError("cannot concat %s along axis %d"
+                             % ([p.shape for p in parts], axis)) from None
+    ndim = out.data.ndim
+    axis %= ndim
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def backward(g: np.ndarray) -> None:
         sl = [slice(None)] * ndim
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl[axis % ndim] = slice(lo, hi)
+            sl[axis] = slice(lo, hi)
             _accumulate(p, g[tuple(sl)])
 
     return _record(out, tuple(parts), backward)

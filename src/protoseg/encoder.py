@@ -1,13 +1,13 @@
 """Shared convolutional feature extractor and feature/descriptor utilities.
 
-Feature maps are rank-3 tensors (c, h, w). A DescriptorSet is the same data
-flattened to (c, l) with l = h * w in row-major order, keeping (h, w) around
-so the flattening is invertible bit for bit.
+Feature maps are rank-3 tensors (c, h, w). Descriptors are the same data
+flattened to a (c, l) tensor with l = h * w in row-major order; the modules
+that read them know their (h, w) grid from construction, so the flattening
+is invertible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,29 +17,12 @@ from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError, DimensionError, ValidationError
 
 
-@dataclass
-class DescriptorSet:
-    """(c, l) view of a feature map plus the grid it came from."""
-
-    data: Tensor
-    height: int
-    width: int
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.data.shape[1]
-
-
-def to_descriptors(fmap: Tensor) -> DescriptorSet:
+def to_descriptors(fmap: Tensor) -> Tensor:
     """Flatten (c, h, w) -> (c, h*w), row-major."""
     if fmap.data.ndim != 3:
         raise DimensionError("feature map must be (c, h, w), got %s" % (fmap.shape,))
     c, h, w = fmap.shape
-    return DescriptorSet(ad.reshape(fmap, c, h * w), h, w)
+    return ad.reshape(fmap, c, h * w)
 
 
 def from_descriptors(x: Tensor, height: int, width: int) -> Tensor:
@@ -89,9 +72,15 @@ class Encoder(Module):
         return x
 
 
-def check_binary(arr: np.ndarray, what: str) -> None:
+def check_binary(x, what: str) -> np.ndarray:
+    """Return x as an array after checking it is numeric with 0/1 values."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError("%s must be a numeric array, got %s"
+                              % (what, type(x).__name__))
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValidationError("%s must be binary (0/1 values only)" % what)
+    return arr
 
 
 def mask_to_feature_grid(mask: np.ndarray, height: int,

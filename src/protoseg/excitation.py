@@ -12,59 +12,57 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
-from .encoder import DescriptorSet, check_binary, from_descriptors
+from .encoder import check_binary, from_descriptors
 from .errors import ConfigError, DegenerateEpisodeError, DimensionError
 from .reasoning import COSINE_EPS, NORM_SQ_EPS
 
 SPATIAL_KERNEL = 7          # width of the spatial attention conv
 
 
-def masked_avg_pool(x: DescriptorSet, grid: np.ndarray) -> Tensor:
-    """Average foreground descriptors into a (c, 1) guidance vector: the sum
-    over foreground cells divided by the foreground cell count."""
-    if grid.ndim != 2 or grid.size != x.count:
-        raise DimensionError("grid %s does not match descriptor count %d"
-                             % (grid.shape, x.count))
+def masked_avg_pool(x: Tensor, grid: np.ndarray) -> Tensor:
+    """Average (c, l) foreground descriptors into a (c, 1) guidance vector:
+    the sum over foreground cells divided by the foreground cell count."""
+    if grid.ndim != 2 or grid.size != x.shape[1]:
+        raise DimensionError("grid %s does not match descriptors %s"
+                             % (grid.shape, x.shape))
     check_binary(grid, "feature grid")
     fg = float(grid.sum())
     if fg == 0.0:
         raise DegenerateEpisodeError("support mask has no foreground at feature "
                                      "resolution")
-    summed = ad.tensor_sum(ad.mul(x.data, grid.reshape(1, x.count)), axis=1,
+    summed = ad.tensor_sum(ad.mul(x, grid.reshape(1, grid.size)), axis=1,
                            keepdims=True)
     return ad.mul(summed, 1.0 / fg)
 
 
-def guide(pooled: Tensor, x_q: DescriptorSet) -> Tensor:
-    """Gate query descriptors channel-wise by the guidance vector."""
-    if pooled.shape != (x_q.channels, 1):
+def guide(pooled: Tensor, x_q: Tensor) -> Tensor:
+    """Gate (c, l) query descriptors channel-wise by the guidance vector."""
+    if pooled.shape != (x_q.shape[0], 1):
         raise DimensionError("guidance must be (c, 1), got %s" % (pooled.shape,))
-    return ad.mul(x_q.data, pooled)
+    return ad.mul(x_q, pooled)
 
 
-def edge_similarity(x_q: DescriptorSet, x_s: DescriptorSet) -> Tensor:
+def edge_similarity(x_q: Tensor, x_s: Tensor) -> Tensor:
     """Cosine similarity between every query/support descriptor pair,
     shaped (l_q, l_s). Zero descriptors (masked background) score 0, and the
     floored norms keep their gradients finite instead of inf * 0."""
-    if x_q.channels != x_s.channels:
-        raise DimensionError("descriptor channel mismatch: %d vs %d"
-                             % (x_q.channels, x_s.channels))
-    inner = ad.matmul(ad.transpose(x_q.data), x_s.data)
-    nq = ad.power(ad.clamp(ad.tensor_sum(ad.mul(x_q.data, x_q.data),
-                                         axis=0, keepdims=True),
+    if x_q.shape[0] != x_s.shape[0]:
+        raise DimensionError("descriptor channel mismatch: %s vs %s"
+                             % (x_q.shape, x_s.shape))
+    inner = ad.matmul(ad.transpose(x_q), x_s)
+    nq = ad.power(ad.clamp(ad.tensor_sum(ad.mul(x_q, x_q), axis=0, keepdims=True),
                            lo=NORM_SQ_EPS), 0.5)
-    ns = ad.power(ad.clamp(ad.tensor_sum(ad.mul(x_s.data, x_s.data),
-                                         axis=0, keepdims=True),
+    ns = ad.power(ad.clamp(ad.tensor_sum(ad.mul(x_s, x_s), axis=0, keepdims=True),
                            lo=NORM_SQ_EPS), 0.5)
     denom = ad.matmul(ad.transpose(nq), ns)
     return ad.mul(inner, ad.power(ad.clamp(denom, lo=COSINE_EPS), -1.0))
 
 
 class FeatureExcitation(Module):
-    """Channel + spatial attention over guided query descriptors, with an
-    optional global-edge fusion route."""
+    """Channel + spatial attention over guided (c, l) query descriptors of a
+    fixed grid_h x grid_w grid, with an optional global-edge fusion route."""
 
-    def __init__(self, channels: int, reduction: int, descriptor_count: int,
+    def __init__(self, channels: int, reduction: int, grid_h: int, grid_w: int,
                  edge_fusion: bool, seed: int, dtype=np.float32):
         if channels % reduction:
             raise ConfigError("channels (%d) must divide by the reduction "
@@ -72,7 +70,7 @@ class FeatureExcitation(Module):
         super().__init__(seed, dtype)
         self.channels = channels
         self.hidden = channels // reduction
-        self.descriptor_count = descriptor_count
+        self.grid_h, self.grid_w = grid_h, grid_w
         self.edge_fusion = edge_fusion
 
         k = SPATIAL_KERNEL
@@ -84,7 +82,7 @@ class FeatureExcitation(Module):
         self.spatial_b = self.zeros("excitation.spatial.bias", (1,))
         if edge_fusion:
             self.fuse_w = self.he_weight("excitation.fuse_edges",
-                                         (channels, channels + descriptor_count, 1))
+                                         (channels, channels + grid_h * grid_w, 1))
             self.fuse_b = self.zeros("excitation.fuse_edges.bias", (channels,))
 
     def channel_attention(self, p: Tensor) -> Tensor:
@@ -98,28 +96,29 @@ class FeatureExcitation(Module):
         gate = ad.sigmoid(ad.add(ad.matmul(self.expand_w, h), self.expand_b))
         return ad.mul(p, gate)
 
-    def spatial_attention(self, p: Tensor, height: int, width: int) -> Tensor:
+    def spatial_attention(self, p: Tensor) -> Tensor:
         """Single-channel conv gate over the (h, w) layout of p."""
-        grid = from_descriptors(p, height, width)
+        grid = from_descriptors(p, self.grid_h, self.grid_w)
         gate = ad.sigmoid(ad.conv2d(grid, self.spatial_w, self.spatial_b))
-        return ad.reshape(ad.mul(grid, gate), self.channels, height * width)
+        return ad.reshape(ad.mul(grid, gate), self.channels,
+                          self.grid_h * self.grid_w)
 
     def fuse_edges(self, p_e: Tensor, d: Tensor) -> Tensor:
         """Concatenate the edge field below the excited descriptors and mix
         back down to c channels with a pointwise conv."""
         if not self.edge_fusion:
             raise ConfigError("edge fusion route was disabled at construction")
-        if d.shape != (self.descriptor_count, p_e.shape[1]):
+        if d.shape != (self.grid_h * self.grid_w, p_e.shape[1]):
             raise DimensionError("edge field %s does not match descriptors %s"
                                  % (d.shape, p_e.shape))
         stacked = ad.concat([p_e, d], axis=0)
         return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
-    def __call__(self, x_s: DescriptorSet, support_grid: np.ndarray,
-                 x_q: DescriptorSet) -> Tensor:
+    def __call__(self, x_s: Tensor, support_grid: np.ndarray,
+                 x_q: Tensor) -> Tensor:
         pooled = masked_avg_pool(x_s, support_grid)
         excited = self.channel_attention(guide(pooled, x_q))
-        excited = self.spatial_attention(excited, x_q.height, x_q.width)
+        excited = self.spatial_attention(excited)
         if self.edge_fusion:
             return self.fuse_edges(excited, edge_similarity(x_q, x_s))
         return excited

@@ -3,8 +3,6 @@ residual conv blocks, classify per cell, and upsample to image resolution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -16,21 +14,6 @@ from .errors import DimensionError, ValidationError
 CLAMP_EPS = 1e-7
 
 
-@dataclass
-class SegMask:
-    """Dense segmentation output at image resolution."""
-
-    logits: Tensor
-    probabilities: Tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.logits.shape
-
-    def binary(self, threshold: float = 0.5) -> np.ndarray:
-        return binarize(self.probabilities, threshold)
-
-
 def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
     """Threshold probabilities; ties go to foreground."""
     p = probabilities.data
@@ -39,14 +22,14 @@ def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
     return (p >= threshold).astype(p.dtype)
 
 
-def bce_loss(pred: SegMask, target: np.ndarray) -> Tensor:
+def bce_loss(probabilities: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over pixels, probabilities clamped to
     [eps, 1-eps] so saturated outputs keep a finite loss."""
-    if pred.probabilities.shape != target.shape:
+    if probabilities.shape != target.shape:
         raise DimensionError("prediction %s and target %s differ"
-                             % (pred.probabilities.shape, target.shape))
+                             % (probabilities.shape, target.shape))
     check_binary(target, "target mask")
-    p = ad.clamp(pred.probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    p = ad.clamp(probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
     hit = ad.mul(target, ad.log(p))
     miss = ad.mul(ad.add(ad.mul(target, -1.0), 1.0),
                   ad.log(ad.add(ad.mul(p, -1.0), 1.0)))
@@ -80,7 +63,8 @@ class FusionHead(Module):
         self.rows = bilinear_matrix(out_h, grid_h, dtype)
         self.cols_t = bilinear_matrix(out_w, grid_w, dtype).T.copy()
 
-    def __call__(self, main: Tensor, aux: Tensor) -> SegMask:
+    def __call__(self, main: Tensor, aux: Tensor) -> Tensor:
+        """Two (c, l) branches -> (out_h, out_w) foreground probabilities."""
         if main.shape != aux.shape or main.shape != (self.channels,
                                                      self.grid_h * self.grid_w):
             raise DimensionError("branch shapes %s / %s do not match head "
@@ -97,4 +81,4 @@ class FusionHead(Module):
         logits_grid = ad.conv2d(x, self.cls_w, self.cls_b)
         logits_grid = ad.reshape(logits_grid, self.grid_h, self.grid_w)
         logits = ad.matmul(ad.matmul(self.rows, logits_grid), self.cols_t)
-        return SegMask(logits=logits, probabilities=ad.sigmoid(logits))
+        return ad.sigmoid(logits)

@@ -14,11 +14,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, config_from_dict
-from .encoder import DescriptorSet
 from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
                        sample_episode)
 from .errors import ConfigError, FormatError, TrainingError
-from .fusion import bce_loss
+from .fusion import bce_loss, binarize
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
 from .seeding import derive_rng, derive_seed
@@ -145,7 +144,7 @@ def train(config: Config, out_dir=None,
                                              ep_seed, config.image_size,
                                              ahead=stream)
                     with Tape() as tape:
-                        loss, _ = net.episode_loss(episode)
+                        loss = net.episode_loss(episode)
                         scaled = ad.mul(loss, 1.0 / batch)
                     value = loss.item()
                     if not np.isfinite(value):
@@ -200,10 +199,10 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
         for ep_seed in seeds:
             ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
                                 ahead=stream)
-            seg = net.forward(ep)
+            probabilities = net.forward(ep)
             target = ep.query_mask.astype(net.dtype, copy=False)
-            loss_values.append(bce_loss(seg, target).item())
-            pred = seg.binary()
+            loss_values.append(bce_loss(probabilities, target).item())
+            pred = binarize(probabilities)
             score = iou(pred, ep.query_mask)
             pairs.append((ep.class_id, score))
             per_class[ep.class_id].append(score)
@@ -227,6 +226,8 @@ def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
     """Train and evaluate the six branch-toggle combinations under shared
     seeds, fold split, and episode streams."""
     config.validate()
+    if eval_episodes < 1:
+        raise ConfigError("eval_episodes must be >= 1")
     rows = []
     for label, toggles in ABLATION_ROWS:
         row_config = config.with_overrides(**toggles)
@@ -268,10 +269,10 @@ def render_ablation(rows: list[dict]) -> str:
 # gradient audit
 
 
-def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> DescriptorSet:
+def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> Tensor:
     rng = derive_rng(seed, "gradcheck", tag)
     data = rng.normal(0.0, 1.0, size=(channels, grid * grid))
-    return DescriptorSet(Tensor(data.astype(np.float64)), grid, grid)
+    return Tensor(data.astype(np.float64))
 
 
 def gradcheck_model(config: Config, eps: float = 1e-6,
@@ -328,8 +329,8 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         excitation_scalar, net.excitation.parameters(), eps=eps,
         max_coords_per_param=max_coords_per_param)
 
-    main = _random_descriptors(toy.channels, grid, toy.seed, "main").data
-    aux = _random_descriptors(toy.channels, grid, toy.seed, "aux").data
+    main = _random_descriptors(toy.channels, grid, toy.seed, "main")
+    aux = _random_descriptors(toy.channels, grid, toy.seed, "aux")
     target = (derive_rng(toy.seed, "gradcheck", "target")
               .random((16, 16)) < 0.3).astype(np.float64)
     results["fusion"] = grad_check(
@@ -338,7 +339,7 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         max_coords_per_param=max_coords_per_param)
 
     results["pipeline"] = grad_check(
-        lambda: net.episode_loss(episode)[0],
+        lambda: net.episode_loss(episode),
         net.parameters(), eps=eps,
         max_coords_per_param=max_coords_per_param)
     return results

@@ -18,10 +18,8 @@ from .encoder import check_binary
 from .errors import DimensionError, IncompleteEvaluationError
 
 
-def _as_binary(x: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(x)
-    check_binary(arr, what)
-    return arr != 0
+def _as_binary(x, what: str) -> np.ndarray:
+    return check_binary(x, what) != 0
 
 
 def iou(pred, target) -> float:

@@ -11,12 +11,12 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .config import Config
-from .encoder import (DescriptorSet, Encoder, apply_mask, kshot_average,
-                      mask_to_feature_grid, to_descriptors)
+from .encoder import (Encoder, apply_mask, kshot_average, mask_to_feature_grid,
+                      to_descriptors)
 from .episodes import Episode
 from .errors import DegenerateEpisodeError, DimensionError
 from .excitation import FeatureExcitation
-from .fusion import FusionHead, SegMask, bce_loss
+from .fusion import FusionHead, bce_loss
 from .reasoning import GraphReasoning
 
 
@@ -27,19 +27,18 @@ class FewShotSegmenter:
         config.validate()
         self.config = config
         self.dtype = dtype
-        self.grid_size = config.image_size // 4
-        l = self.grid_size * self.grid_size
+        self.grid_size = g = config.image_size // 4
         seed = config.seed
         self.encoder = Encoder(3, config.channels, config.encoder_width,
                                config.encoder_depth, seed, dtype)
         self.reasoning = (GraphReasoning(config.channels, config.proto_dim,
-                                         config.gcn_depth, seed, dtype)
+                                         config.gcn_depth, g, g, seed, dtype)
                           if config.graph_reasoning else None)
         self.excitation = (FeatureExcitation(config.channels, config.reduction,
-                                             l, config.edge_fusion, seed, dtype)
+                                             g, g, config.edge_fusion, seed, dtype)
                            if config.excitation else None)
-        self.head = FusionHead(config.channels, self.grid_size, self.grid_size,
-                               config.image_size, config.image_size, seed, dtype)
+        self.head = FusionHead(config.channels, g, g, config.image_size,
+                               config.image_size, seed, dtype)
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -86,8 +85,7 @@ class FewShotSegmenter:
 
     # -- forward -------------------------------------------------------------
 
-    def encode_support(self, episode: Episode
-                       ) -> tuple[DescriptorSet, np.ndarray]:
+    def encode_support(self, episode: Episode) -> tuple[Tensor, np.ndarray]:
         """K-averaged masked support descriptors plus the union feature grid."""
         masked = []
         grids = []
@@ -104,20 +102,19 @@ class FewShotSegmenter:
                                          % episode.seed)
         return to_descriptors(kshot_average(masked)), union
 
-    def forward(self, episode: Episode) -> SegMask:
+    def forward(self, episode: Episode) -> Tensor:
+        """Foreground probabilities of the query image, (H, W)."""
         # K is free at inference; config.k_shot only steers episode sampling.
         image = episode.query_image.astype(self.dtype, copy=False)
         x_q = to_descriptors(self.encoder(image))
         x_s, union_grid = self.encode_support(episode)
-        main = (self.reasoning(x_s, x_q) if self.reasoning is not None
-                else x_q.data)
+        main = self.reasoning(x_s, x_q) if self.reasoning is not None else x_q
         aux = (self.excitation(x_s, union_grid, x_q)
-               if self.excitation is not None else x_q.data)
+               if self.excitation is not None else x_q)
         return self.head(main, aux)
 
-    def episode_loss(self, episode: Episode) -> tuple[Tensor, SegMask]:
-        pred = self.forward(episode)
-        loss = bce_loss(pred, episode.query_mask.astype(self.dtype, copy=False))
-        return loss, pred
+    def episode_loss(self, episode: Episode) -> Tensor:
+        return bce_loss(self.forward(episode),
+                        episode.query_mask.astype(self.dtype, copy=False))
 
     __call__ = forward

@@ -10,13 +10,11 @@ to feature space as a residual on the query descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
-from .encoder import DescriptorSet, from_descriptors
+from .encoder import from_descriptors
 from .errors import ConfigError, DimensionError, ValidationError
 
 STANDARDIZE_EPS = 1e-5
@@ -27,14 +25,6 @@ STANDARDIZE_EPS = 1e-5
 # magnitude, so |cos| <= 1 still holds.
 NORM_SQ_EPS = 1e-16
 COSINE_EPS = 1e-8
-
-
-@dataclass
-class PrototypePair:
-    """Projections of one descriptor set along the two routes, each (r, l)."""
-
-    node: Tensor
-    channel: Tensor
 
 
 def _cosine_rows(g: Tensor) -> Tensor:
@@ -85,10 +75,11 @@ def gcn_forward(h: Tensor, lap: Tensor, thetas: list[Tensor]) -> Tensor:
 
 
 class GraphReasoning(Module):
-    """Parameterized branch: project, relate, propagate, reflect."""
+    """Parameterized branch over (c, l) descriptors of a fixed
+    grid_h x grid_w grid: project, relate, propagate, reflect."""
 
     def __init__(self, channels: int, proto_dim: int, gcn_depth: int,
-                 seed: int, dtype=np.float32):
+                 grid_h: int, grid_w: int, seed: int, dtype=np.float32):
         if proto_dim < 2:
             raise ConfigError("proto_dim must be >= 2, got %d" % proto_dim)
         if gcn_depth < 1:
@@ -96,6 +87,7 @@ class GraphReasoning(Module):
         super().__init__(seed, dtype)
         self.channels = channels
         self.proto_dim = proto_dim
+        self.grid_h, self.grid_w = grid_h, grid_w
         c, r = channels, proto_dim
         self.node_w = self.he_weight("reasoning.project_node", (r, c, 1))
         self.node_b = self.zeros("reasoning.project_node.bias", (r,))
@@ -108,44 +100,44 @@ class GraphReasoning(Module):
         self.reflect_w = self.he_weight("reasoning.reflect", (c, r, 3, 3))
         self.reflect_b = self.zeros("reasoning.reflect.bias", (c,))
 
-    def project(self, x: DescriptorSet) -> PrototypePair:
-        """(c, l) descriptors -> two (r, l) prototype sets."""
-        if x.channels != self.channels:
-            raise DimensionError("descriptor channels %d do not match branch "
-                                 "width %d" % (x.channels, self.channels))
-        node = ad.conv1d(x.data, self.node_w, self.node_b)
-        channel = ad.conv1d(x.data, self.channel_w, self.channel_b)
-        return PrototypePair(node=node, channel=channel)
+    def project(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """(c, l) descriptors -> (node, channel) prototype sets, each (r, l)."""
+        if x.shape != (self.channels, self.grid_h * self.grid_w):
+            raise DimensionError("descriptors %s do not match branch geometry "
+                                 "(c=%d, l=%d)" % (x.shape, self.channels,
+                                                   self.grid_h * self.grid_w))
+        return (ad.conv1d(x, self.node_w, self.node_b),
+                ad.conv1d(x, self.channel_w, self.channel_b))
 
-    def relation_matrices(self, support: PrototypePair,
-                          query: PrototypePair) -> Tensor:
+    def relation_matrices(self, support: tuple[Tensor, Tensor],
+                          query: tuple[Tensor, Tensor]) -> Tensor:
         """Cross the two routes and fuse the stacked pair down to (r, r)."""
-        if support.node.shape != query.node.shape:
-            raise DimensionError("support/query prototype shapes differ: %s vs %s"
-                                 % (support.node.shape, query.node.shape))
-        g_node = ad.matmul(query.node, ad.transpose(support.channel))
-        g_channel = ad.matmul(query.channel, ad.transpose(support.node))
+        s_node, s_channel = support
+        q_node, q_channel = query
+        g_node = ad.matmul(q_node, ad.transpose(s_channel))
+        g_channel = ad.matmul(q_channel, ad.transpose(s_node))
         stacked = ad.concat([g_node, ad.transpose(g_channel)], axis=0)  # (2r, r)
         return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
     def reflect(self, relations: Tensor, query_node: Tensor,
-                x_q: DescriptorSet) -> Tensor:
+                x_q: Tensor) -> Tensor:
         """Re-weight query prototypes by the refined relations, map back to
         c channels, standardize per channel, add onto the query descriptors."""
         weighted = ad.matmul(relations, query_node)            # (r, l)
-        grid = from_descriptors(weighted, x_q.height, x_q.width)
+        grid = from_descriptors(weighted, self.grid_h, self.grid_w)
         mapped = ad.conv2d(grid, self.reflect_w, self.reflect_b)
         mu = ad.tensor_mean(mapped, axis=(1, 2), keepdims=True)
         centered = ad.add(mapped, ad.mul(mu, -1.0))
         var = ad.tensor_mean(ad.mul(centered, centered), axis=(1, 2), keepdims=True)
         standardized = ad.mul(centered, ad.power(ad.add(var, STANDARDIZE_EPS), -0.5))
-        flat = ad.reshape(standardized, self.channels, x_q.count)
-        return ad.add(x_q.data, flat)
+        flat = ad.reshape(standardized, self.channels,
+                          self.grid_h * self.grid_w)
+        return ad.add(x_q, flat)
 
-    def __call__(self, x_s: DescriptorSet, x_q: DescriptorSet) -> Tensor:
+    def __call__(self, x_s: Tensor, x_q: Tensor) -> Tensor:
         support = self.project(x_s)
         query = self.project(x_q)
         g = self.relation_matrices(support, query)
         lap = normalized_laplacian(build_adjacency(g))
         refined = gcn_forward(g, lap, self.thetas)
-        return self.reflect(refined, query.node, x_q)
+        return self.reflect(refined, query[0], x_q)

@@ -26,12 +26,12 @@ import pytest
 import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor
 from protoseg.config import Config
-from protoseg.encoder import (DescriptorSet, apply_mask, from_descriptors,
-                              kshot_average, to_descriptors)
+from protoseg.encoder import (apply_mask, from_descriptors, kshot_average,
+                              to_descriptors)
 from protoseg.episodes import default_classes, make_folds, sample_episode
 from protoseg.excitation import (FeatureExcitation, edge_similarity,
                                  masked_avg_pool)
-from protoseg.fusion import bce_loss, SegMask
+from protoseg.fusion import bce_loss
 from protoseg.harness import ablate, evaluate, gradcheck_model, train
 from protoseg.metrics import fb_iou, iou, miou
 from protoseg.network import FewShotSegmenter
@@ -118,9 +118,8 @@ def test_oracle_suite():
         grid = (rng.random((side, side)) < 0.6).astype(float)
         if grid.sum() == 0:
             grid[0, 0] = 1.0
-        dset = DescriptorSet(Tensor(xp), side, side)
         track("pooling",
-              np.abs(masked_avg_pool(dset, grid).data
+              np.abs(masked_avg_pool(Tensor(xp), grid).data
                      - oracles.naive_masked_pool(xp, grid)).max())
 
         g = rng.normal(size=(int(rng.integers(2, 9)), int(rng.integers(2, 9))))
@@ -130,14 +129,12 @@ def test_oracle_suite():
         q = rng.normal(size=(c, side * side))
         s = rng.normal(size=(c, side * side))
         track("cosine",
-              np.abs(edge_similarity(DescriptorSet(Tensor(q), side, side),
-                                     DescriptorSet(Tensor(s), side, side)).data
+              np.abs(edge_similarity(Tensor(q), Tensor(s)).data
                      - oracles.naive_edge_cosine(q, s)).max())
 
         probs = rng.uniform(0.01, 0.99, size=(8, 8))
         target = (rng.random((8, 8)) < 0.5).astype(float)
-        seg = SegMask(probabilities=Tensor(probs), logits=Tensor(np.log(probs / (1 - probs))))
-        track("bce", abs(bce_loss(seg, target).item()
+        track("bce", abs(bce_loss(Tensor(probs), target).item()
                          - oracles.naive_bce(probs, target)))
 
         pm = (rng.random((8, 8)) < 0.4).astype(float)
@@ -187,21 +184,21 @@ def test_structural_suite():
     c, r, side = 8, 4, 4
 
     # reflect residual identity: zero relations leave the query untouched
-    branch = GraphReasoning(channels=c, proto_dim=r, gcn_depth=2, seed=3,
-                            dtype=np.float64)
-    x_q = DescriptorSet(Tensor(rng.normal(size=(c, side * side))), side, side)
+    branch = GraphReasoning(channels=c, proto_dim=r, gcn_depth=2, grid_h=side,
+                            grid_w=side, seed=3, dtype=np.float64)
+    x_q = Tensor(rng.normal(size=(c, side * side)))
     query_node = Tensor(rng.normal(size=(r, side * side)))
     out = branch.reflect(Tensor(np.zeros((r, r))), query_node, x_q)
-    assert np.array_equal(out.data, x_q.data.data)
+    assert np.array_equal(out.data, x_q.data)
 
     # zero attention weights halve the input exactly (sigmoid(0) gate)
-    exc = FeatureExcitation(channels=c, reduction=4, descriptor_count=side * side,
+    exc = FeatureExcitation(channels=c, reduction=4, grid_h=side, grid_w=side,
                             edge_fusion=True, seed=5, dtype=np.float64)
     for p in exc.parameters():
         p.data[...] = 0.0
     probe = Tensor(rng.normal(size=(c, side * side)))
     assert np.array_equal(exc.channel_attention(probe).data, 0.5 * probe.data)
-    assert np.array_equal(exc.spatial_attention(probe, side, side).data,
+    assert np.array_equal(exc.spatial_attention(probe).data,
                           0.5 * probe.data)
 
     # identity projection through the edge-fuse conv returns its main input
@@ -224,7 +221,7 @@ def test_structural_suite():
 
     # descriptor flattening round-trips bit-exact
     dset = to_descriptors(f)
-    back = from_descriptors(dset.data, side, side)
+    back = from_descriptors(dset, side, side)
     assert np.array_equal(back.data, f.data)
     _report("structural suite",
             "reflect identity, attention halving, fuse projection, k-shot "

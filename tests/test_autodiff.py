@@ -457,3 +457,25 @@ def test_reshape_round_trip(shape):
 def test_reshape_rejects_wrong_size():
     with pytest.raises(DimensionError):
         ad.reshape(t64(np.ones((2, 3))), 4, 2)
+
+
+def test_reshape_rejects_bad_extents():
+    # Negative extents other than one -1 are numpy's ValueError underneath.
+    with pytest.raises(DimensionError):
+        ad.reshape(t64(np.ones((2, 3))), -2, -3)
+    with pytest.raises(DimensionError):
+        ad.reshape(t64(np.ones((2, 3))), -1, -1)
+
+
+def test_concat_shape_errors():
+    a, b = t64(np.ones((2, 3))), t64(np.ones((2, 4)))
+    with pytest.raises(DimensionError):
+        ad.concat([a, a], axis=2)             # axis out of range
+    with pytest.raises(DimensionError):
+        ad.concat([a, t64(np.ones(3))])        # rank mismatch
+    with pytest.raises(DimensionError):
+        ad.concat([a, b], axis=0)             # extent mismatch off the axis
+    assert ad.concat([a, b], axis=1).shape == (2, 7)
+    assert ad.concat([a, b], axis=-1).shape == (2, 7)
+    with pytest.raises(UsageError):
+        ad.concat([])

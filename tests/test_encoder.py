@@ -5,9 +5,9 @@ import pytest
 
 import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor
-from protoseg.encoder import (DescriptorSet, Encoder, apply_mask,
-                              from_descriptors, kshot_average,
-                              mask_to_feature_grid, to_descriptors)
+from protoseg.encoder import (Encoder, apply_mask, from_descriptors,
+                              kshot_average, mask_to_feature_grid,
+                              to_descriptors)
 from protoseg.errors import ConfigError, DimensionError, ValidationError
 
 
@@ -54,8 +54,8 @@ def test_descriptor_round_trip_bit_exact():
     rng = np.random.default_rng(3)
     fmap = Tensor(rng.normal(size=(5, 4, 6)).astype(np.float32))
     ds = to_descriptors(fmap)
-    assert ds.channels == 5 and ds.count == 24
-    back = from_descriptors(ds.data, ds.height, ds.width)
+    assert ds.shape == (5, 24)
+    back = from_descriptors(ds, 4, 6)
     assert back.data.dtype == fmap.data.dtype
     assert np.array_equal(back.data, fmap.data)
 
@@ -63,7 +63,7 @@ def test_descriptor_round_trip_bit_exact():
 def test_descriptor_order_is_row_major():
     fmap = Tensor(np.arange(12, dtype=np.float32).reshape(1, 3, 4))
     ds = to_descriptors(fmap)
-    assert np.array_equal(ds.data.data[0], np.arange(12, dtype=np.float32))
+    assert np.array_equal(ds.data[0], np.arange(12, dtype=np.float32))
 
 
 def test_descriptor_round_trip_differentiable():
@@ -72,7 +72,7 @@ def test_descriptor_round_trip_differentiable():
     p = Parameter("f", np.ones((2, 3, 3)))
     with Tape() as tape:
         ds = to_descriptors(p)
-        out = ad.tensor_sum(ad.mul(ds.data, 2.0))
+        out = ad.tensor_sum(ad.mul(ds, 2.0))
     backward(tape, out)
     assert np.allclose(p.grad, 2.0)
 

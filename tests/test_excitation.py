@@ -5,7 +5,6 @@ import pytest
 
 import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
-from protoseg.encoder import DescriptorSet
 from protoseg.errors import (ConfigError, DegenerateEpisodeError,
                              DimensionError, ValidationError)
 from protoseg.excitation import (FeatureExcitation, edge_similarity, guide,
@@ -14,9 +13,8 @@ from protoseg.excitation import (FeatureExcitation, edge_similarity, guide,
 
 def rand_ds(channels, h, w, seed, dtype=np.float64, grad=False):
     rng = np.random.default_rng(seed)
-    data = Tensor(rng.normal(size=(channels, h * w)).astype(dtype),
+    return Tensor(rng.normal(size=(channels, h * w)).astype(dtype),
                   requires_grad=grad)
-    return DescriptorSet(data, h, w)
 
 
 def naive_masked_pool(x, grid):
@@ -42,7 +40,7 @@ def test_masked_pool_matches_naive(seed):
     if grid.sum() == 0:
         grid[1, 1] = 1.0
     got = masked_avg_pool(ds, grid).data
-    want = naive_masked_pool(ds.data.data, grid)
+    want = naive_masked_pool(ds.data, grid)
     assert got.shape == (4, 1)
     assert np.abs(got - want).max() < 1e-12
 
@@ -50,7 +48,7 @@ def test_masked_pool_matches_naive(seed):
 def test_masked_pool_full_grid_is_plain_mean():
     ds = rand_ds(3, 2, 2, 1)
     got = masked_avg_pool(ds, np.ones((2, 2))).data
-    assert np.allclose(got, ds.data.data.mean(axis=1, keepdims=True), atol=1e-12)
+    assert np.allclose(got, ds.data.mean(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_masked_pool_empty_grid_raises():
@@ -75,7 +73,7 @@ def test_guide_broadcasts_channelwise():
     ds = rand_ds(3, 2, 2, 5)
     pooled = Tensor(np.array([[2.0], [0.0], [-1.0]]))
     out = guide(pooled, ds).data
-    assert np.allclose(out[0], 2.0 * ds.data.data[0])
+    assert np.allclose(out[0], 2.0 * ds.data[0])
     assert np.all(out[1] == 0.0)
     with pytest.raises(DimensionError):
         guide(Tensor(np.ones((4, 1))), ds)
@@ -100,7 +98,7 @@ def test_edge_similarity_matches_naive(seed):
     xq = rand_ds(4, 2, 3, 600 + seed)
     xs = rand_ds(4, 2, 2, 700 + seed)
     got = edge_similarity(xq, xs).data
-    want = naive_edge(xq.data.data, xs.data.data)
+    want = naive_edge(xq.data, xs.data)
     assert got.shape == (6, 4)
     assert np.abs(got - want).max() < 1e-7
 
@@ -109,7 +107,7 @@ def test_edge_similarity_range_and_zero_column():
     xq = rand_ds(4, 2, 2, 8)
     xs_data = np.random.default_rng(9).normal(size=(4, 4))
     xs_data[:, 2] = 0.0  # masked background descriptor
-    xs = DescriptorSet(Tensor(xs_data), 2, 2)
+    xs = Tensor(xs_data)
     got = edge_similarity(xq, xs).data
     assert np.abs(got).max() <= 1.0 + 1e-9
     assert np.all(got[:, 2] == 0.0)
@@ -124,8 +122,8 @@ def test_edge_similarity_rejects_channel_mismatch():
 # attention gates
 
 
-def make_branch(channels=8, reduction=4, count=16, edges=True, seed=0):
-    return FeatureExcitation(channels, reduction, count, edges, seed,
+def make_branch(channels=8, reduction=4, grid=4, edges=True, seed=0):
+    return FeatureExcitation(channels, reduction, grid, grid, edges, seed,
                              dtype=np.float64)
 
 
@@ -139,8 +137,8 @@ def test_channel_attention_zero_weights_halve():
     for p in (br.squeeze_w, br.squeeze_b, br.expand_w, br.expand_b):
         p.data[:] = 0.0
     x = rand_ds(8, 4, 4, 10)
-    out = br.channel_attention(x.data).data
-    assert np.array_equal(out, 0.5 * x.data.data)
+    out = br.channel_attention(x).data
+    assert np.array_equal(out, 0.5 * x.data)
 
 
 def test_spatial_attention_zero_weights_halve():
@@ -148,42 +146,42 @@ def test_spatial_attention_zero_weights_halve():
     br.spatial_w.data[:] = 0.0
     br.spatial_b.data[:] = 0.0
     x = rand_ds(8, 4, 4, 11)
-    out = br.spatial_attention(x.data, 4, 4).data
-    assert np.allclose(out, 0.5 * x.data.data, atol=1e-15)
+    out = br.spatial_attention(x).data
+    assert np.allclose(out, 0.5 * x.data, atol=1e-15)
 
 
 def test_channel_attention_gate_bounds():
     br = make_branch(seed=3)
     x = rand_ds(8, 4, 4, 12)
-    out = br.channel_attention(x.data).data
-    ratio = out / np.where(x.data.data == 0.0, 1.0, x.data.data)
+    out = br.channel_attention(x).data
+    ratio = out / np.where(x.data == 0.0, 1.0, x.data)
     assert ratio.min() >= 0.0 - 1e-12 and ratio.max() <= 1.0 + 1e-12
 
 
 def test_fuse_edges_identity_projection_case():
     # Weight = [I | 0] with zero bias must pass the excited block through
     # untouched, ignoring the edge columns.
-    br = make_branch(channels=4, reduction=2, count=9, edges=True)
+    br = make_branch(channels=4, reduction=2, grid=3, edges=True)
     br.fuse_w.data[:] = 0.0
     for i in range(4):
         br.fuse_w.data[i, i, 0] = 1.0
     br.fuse_b.data[:] = 0.0
     p_e = rand_ds(4, 3, 3, 13)
     d = Tensor(np.random.default_rng(14).normal(size=(9, 9)))
-    out = br.fuse_edges(p_e.data, d).data
-    assert np.array_equal(out, p_e.data.data)
+    out = br.fuse_edges(p_e, d).data
+    assert np.array_equal(out, p_e.data)
 
 
 def test_fuse_edges_disabled_raises():
     br = make_branch(edges=False)
     with pytest.raises(ConfigError):
-        br.fuse_edges(rand_ds(8, 4, 4, 15).data, Tensor(np.zeros((16, 16))))
+        br.fuse_edges(rand_ds(8, 4, 4, 15), Tensor(np.zeros((16, 16))))
 
 
 def test_fuse_edges_rejects_bad_field_shape():
-    br = make_branch(channels=4, reduction=2, count=9, edges=True)
+    br = make_branch(channels=4, reduction=2, grid=3, edges=True)
     with pytest.raises(DimensionError):
-        br.fuse_edges(rand_ds(4, 3, 3, 16).data, Tensor(np.zeros((4, 9))))
+        br.fuse_edges(rand_ds(4, 3, 3, 16), Tensor(np.zeros((4, 9))))
 
 
 def test_call_routes_both_configurations():
@@ -204,7 +202,7 @@ def test_call_routes_both_configurations():
 
 
 def test_branch_gradients():
-    br = make_branch(channels=6, reduction=3, count=4, edges=True, seed=5)
+    br = make_branch(channels=6, reduction=3, grid=2, edges=True, seed=5)
     xs = rand_ds(6, 2, 2, 20)
     xq = rand_ds(6, 2, 2, 21)
     grid = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -222,8 +220,7 @@ def test_masked_pool_gradient():
     grid = np.array([[1.0, 0.0], [0.0, 1.0]])
 
     def f():
-        ds = DescriptorSet(data, 2, 2)
-        pooled = masked_avg_pool(ds, grid)
+        pooled = masked_avg_pool(data, grid)
         return ad.tensor_sum(ad.mul(pooled, pooled))
 
     assert grad_check(f, [data], eps=1e-6) < 1e-8

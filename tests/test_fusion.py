@@ -7,7 +7,7 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
 from protoseg.errors import DimensionError, ValidationError
 from protoseg.bilinear import bilinear_matrix
-from protoseg.fusion import FusionHead, SegMask, bce_loss, binarize
+from protoseg.fusion import FusionHead, bce_loss, binarize
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +59,12 @@ def test_binarize_rejects_out_of_range():
         binarize(Tensor(np.array([[-0.1]])))
 
 
-def seg_from_logits(z):
-    t = Tensor(np.asarray(z, dtype=np.float64))
-    return SegMask(logits=t, probabilities=ad.sigmoid(t))
+def probs_from_logits(z):
+    return ad.sigmoid(Tensor(np.asarray(z, dtype=np.float64)))
 
 
 def test_bce_at_half_is_ln2():
-    pred = seg_from_logits(np.zeros((4, 4)))
+    pred = probs_from_logits(np.zeros((4, 4)))
     target = np.random.default_rng(0).integers(0, 2, (4, 4)).astype(np.float64)
     assert abs(bce_loss(pred, target).item() - np.log(2.0)) < 1e-12
 
@@ -75,14 +74,14 @@ def test_bce_matches_naive(seed):
     rng = np.random.default_rng(seed)
     z = rng.normal(scale=2.0, size=(3, 5))
     t = rng.integers(0, 2, (3, 5)).astype(np.float64)
-    got = bce_loss(seg_from_logits(z), t).item()
+    got = bce_loss(probs_from_logits(z), t).item()
     p = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-7, 1.0 - 1e-7)
     want = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean()
     assert abs(got - want) < 1e-12
 
 
 def test_bce_saturated_logits_stay_finite():
-    pred = seg_from_logits(np.array([[40.0, -40.0]]))
+    pred = probs_from_logits(np.array([[40.0, -40.0]]))
     target = np.array([[0.0, 1.0]])
     value = bce_loss(pred, target).item()
     assert np.isfinite(value)
@@ -90,11 +89,18 @@ def test_bce_saturated_logits_stay_finite():
 
 
 def test_bce_shape_and_binary_validation():
-    pred = seg_from_logits(np.zeros((2, 2)))
+    pred = probs_from_logits(np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         bce_loss(pred, np.zeros((3, 2)))
     with pytest.raises(ValidationError):
         bce_loss(pred, np.full((2, 2), 0.4))
+
+
+def test_bce_rejects_tensor_target_by_type():
+    pred = probs_from_logits(np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="target mask must be a numeric "
+                                              "array, got Tensor"):
+        bce_loss(pred, Tensor(np.eye(2)))
 
 
 def test_bce_gradient():
@@ -102,8 +108,7 @@ def test_bce_gradient():
     t = np.random.default_rng(2).integers(0, 2, (3, 3)).astype(np.float64)
 
     def f():
-        probs = ad.sigmoid(z)
-        return bce_loss(SegMask(logits=z, probabilities=probs), t)
+        return bce_loss(ad.sigmoid(z), t)
 
     assert grad_check(f, [z], eps=1e-6) < 1e-8
 
@@ -122,20 +127,19 @@ def rand_branch(channels, count, seed):
 
 def test_head_output_geometry_and_prob_invariant():
     head = make_head()
-    seg = head(rand_branch(4, 9, 3), rand_branch(4, 9, 4))
-    assert seg.logits.shape == (12, 12)
-    assert seg.probabilities.shape == (12, 12)
-    assert np.allclose(seg.probabilities.data,
-                       1.0 / (1.0 + np.exp(-seg.logits.data)), atol=1e-12)
+    probs = head(rand_branch(4, 9, 3), rand_branch(4, 9, 4))
+    assert probs.shape == (12, 12)
+    assert np.all((probs.data > 0.0) & (probs.data < 1.0))
 
 
 def test_head_opens_at_exactly_half():
-    # Zero classifier init: before any training the head must emit logit 0
-    # (p = 0.5) for every pixel regardless of seed or inputs.
+    # Zero classifier init: before any training the head must emit logit 0,
+    # so exactly p = sigmoid(0) = 0.5, for every pixel regardless of seed or
+    # inputs.
     for seed in (0, 1, 17):
         head = make_head(seed=seed)
-        seg = head(rand_branch(4, 9, seed), rand_branch(4, 9, seed + 50))
-        assert np.array_equal(seg.logits.data, np.zeros((12, 12)))
+        probs = head(rand_branch(4, 9, seed), rand_branch(4, 9, seed + 50))
+        assert np.array_equal(probs.data, np.full((12, 12), 0.5))
 
 
 def test_head_residual_zero_weight_identity():
@@ -145,8 +149,8 @@ def test_head_residual_zero_weight_identity():
         b.data[:] = 0.0
     head.cls_w.data[:] = 0.0
     head.cls_b.data[:] = 1.3
-    seg = head(rand_branch(4, 9, 5), rand_branch(4, 9, 6))
-    assert np.abs(seg.logits.data - 1.3).max() < 1e-12
+    probs = head(rand_branch(4, 9, 5), rand_branch(4, 9, 6))
+    assert np.abs(probs.data - 1.0 / (1.0 + np.exp(-1.3))).max() < 1e-12
 
 
 def test_head_rejects_branch_mismatch():

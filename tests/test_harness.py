@@ -18,7 +18,6 @@ from protoseg.config import Config
 from protoseg.episodes import FoldSplit, sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
                              TrainingError)
-from protoseg.fusion import SegMask
 from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               gradcheck_model, load_network, model_report,
                               render_ablation, save_checkpoint, train)
@@ -37,8 +36,7 @@ def _score_as(net, probabilities):
 
     def forward(ep):
         scored.append(ep.seed)
-        p = Tensor(probabilities(ep))
-        return SegMask(logits=p, probabilities=p)
+        return Tensor(probabilities(ep))
 
     net.forward = forward
     return scored
@@ -357,6 +355,16 @@ def test_ablate_runs_six_rows():
     text = render_ablation(rows)
     assert text.count("row = ") == 6
     assert "json = " in text
+
+
+def test_ablate_rejects_eval_episodes_before_training(monkeypatch, tmp_path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking eval_episodes")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ConfigError, match="eval_episodes"):
+        ablate(TINY, eval_episodes=0, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

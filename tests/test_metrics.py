@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from protoseg.autodiff import Tensor
 from protoseg.errors import (DimensionError, IncompleteEvaluationError,
                              ValidationError)
 from protoseg.metrics import EvalReport, fb_iou, iou, miou
@@ -56,6 +57,18 @@ def test_iou_validation():
         iou(m([[0.5]]), m([[1]]))
     with pytest.raises(DimensionError):
         iou(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("score", [iou, fb_iou])
+def test_scores_reject_tensor_masks_by_type(score):
+    # A Tensor is not an array of 0/1 values: name the type, not the values.
+    mask = np.eye(3)
+    with pytest.raises(ValidationError, match="prediction must be a numeric "
+                                              "array, got Tensor"):
+        score(Tensor(mask), mask)
+    with pytest.raises(ValidationError, match="target must be a numeric "
+                                              "array, got Tensor"):
+        score(mask, Tensor(mask))
 
 
 def test_fb_iou_all_background():

@@ -5,11 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from protoseg.autodiff import Tensor
 from protoseg.config import Config
 from protoseg.episodes import Episode, make_folds, sample_episode
 from protoseg.errors import DegenerateEpisodeError, DimensionError
 from protoseg.harness import SGD
+from protoseg.excitation import FeatureExcitation
 from protoseg.network import FewShotSegmenter
+from protoseg.reasoning import GraphReasoning
 
 TOY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
              reduction=4, gcn_depth=2)
@@ -88,33 +91,31 @@ def test_forward_geometry_all_toggle_combinations():
                     {"graph_reasoning": False, "excitation": False,
                      "edge_fusion": False}):
         net = toy_net(**toggles)
-        seg = net(ep)
-        assert seg.probabilities.shape == (16, 16)
-        assert np.all(np.isfinite(seg.logits.data))
+        probs = net(ep)
+        assert probs.shape == (16, 16)
+        assert np.all(np.isfinite(probs.data))
 
 
 def test_inference_k_is_free():
     net = toy_net()  # config.k_shot == 1
     ep5 = sample_episode(SPLIT, "train", 5, seed=4, image_size=16)
-    seg = net(ep5)
-    assert seg.probabilities.shape == (16, 16)
+    assert net(ep5).shape == (16, 16)
 
 
 def test_episode_loss_scalar_and_initial_value():
     net = toy_net()
     ep = sample_episode(SPLIT, "train", 1, seed=5, image_size=16)
-    loss, seg = net.episode_loss(ep)
+    loss = net.episode_loss(ep)
     assert loss.data.size == 1
     # zero-init classifier: untrained loss is exactly ln 2
     assert abs(loss.item() - np.log(2.0)) < 1e-6
-    assert seg.probabilities.shape == (16, 16)
 
 
 def test_encode_support_union_grid():
     net = toy_net()
     ep = sample_episode(SPLIT, "train", 3, seed=6, image_size=16)
     x_s, union = net.encode_support(ep)
-    assert x_s.channels == 8 and x_s.count == 16
+    assert x_s.shape == (8, 16)
     grids = []
     for msk in ep.support_masks:
         pooled = msk.reshape(4, 4, 4, 4).mean(axis=(1, 3))
@@ -135,6 +136,19 @@ def test_encode_support_empty_mask_raises_with_seed():
     with pytest.raises(DegenerateEpisodeError) as err:
         net.encode_support(empty)
     assert "4242" in str(err.value)
+
+
+@pytest.mark.parametrize("branch", ["reasoning", "excitation"])
+def test_branch_rejects_descriptors_off_its_grid(branch):
+    # Each branch is built for one feature grid; descriptors of another grid
+    # are a shape error, not a silently different computation.
+    x = Tensor(np.ones((8, 9), dtype=np.float32))  # 3x3 grid
+    with pytest.raises(DimensionError):
+        if branch == "reasoning":
+            GraphReasoning(8, 4, 1, grid_h=2, grid_w=2, seed=0)(x, x)
+        else:
+            FeatureExcitation(8, 4, grid_h=2, grid_w=2, edge_fusion=True,
+                              seed=0)(x, np.ones((3, 3), dtype=np.float32), x)
 
 
 def test_load_parameter_arrays_round_trip():
@@ -166,7 +180,7 @@ def test_zero_grad_clears_all():
     net = toy_net()
     ep = sample_episode(SPLIT, "train", 1, seed=8, image_size=16)
     with Tape() as tape:
-        loss, _ = net.episode_loss(ep)
+        loss = net.episode_loss(ep)
     backward(tape, loss)
     assert any(np.abs(p.grad).max() > 0 for p in net.parameters())
     SGD(net.parameters(), learning_rate=0.1).zero_grad()
@@ -177,8 +191,7 @@ def test_f64_mode_propagates():
     net = FewShotSegmenter(TOY, dtype=np.float64)
     assert all(p.data.dtype == np.float64 for p in net.parameters())
     ep = sample_episode(SPLIT, "train", 1, seed=9, image_size=16)
-    seg = net(ep)
-    assert seg.logits.data.dtype == np.float64
+    assert net(ep).dtype == np.float64
 
 
 # Initial parameters hashed per config and dtype: name, dtype, shape and

@@ -5,10 +5,9 @@ import pytest
 
 import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
-from protoseg.encoder import DescriptorSet
 from protoseg.errors import ConfigError, DimensionError, ValidationError
-from protoseg.reasoning import (GraphReasoning, PrototypePair, build_adjacency,
-                                gcn_forward, normalized_laplacian)
+from protoseg.reasoning import (GraphReasoning, build_adjacency, gcn_forward,
+                                normalized_laplacian)
 
 
 def t64(arr):
@@ -158,14 +157,13 @@ def test_gcn_matches_manual_two_layers():
 
 def rand_ds(channels, h, w, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    data = Tensor(rng.normal(size=(channels, h * w)).astype(dtype),
+    return Tensor(rng.normal(size=(channels, h * w)).astype(dtype),
                   requires_grad=True)
-    return DescriptorSet(data, h, w)
 
 
 def test_branch_shapes_and_param_names():
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=2, seed=0,
-                        dtype=np.float64)
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=2, grid_h=4, grid_w=4,
+                        seed=0, dtype=np.float64)
     names = [p.name for p in br.parameters()]
     assert all(n.startswith("reasoning.") for n in names)
     assert len(names) == len(set(names))
@@ -175,10 +173,13 @@ def test_branch_shapes_and_param_names():
 
 def test_branch_rejects_bad_dims():
     with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=1, gcn_depth=2, seed=0)
+        GraphReasoning(channels=8, proto_dim=1, gcn_depth=2, grid_h=2,
+                       grid_w=2, seed=0)
     with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=4, gcn_depth=0, seed=0)
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, seed=0)
+        GraphReasoning(channels=8, proto_dim=4, gcn_depth=0, grid_h=2,
+                       grid_w=2, seed=0)
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=2,
+                        grid_w=2, seed=0)
     with pytest.raises(DimensionError):
         br.project(rand_ds(4, 2, 2, 0))
 
@@ -186,28 +187,28 @@ def test_branch_rejects_bad_dims():
 def test_reflect_zero_relations_residual_identity():
     # With G = 0 the standardized reflection is exactly zero (constants are
     # killed by centering), so the branch must return the query bit-exact.
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, seed=3,
-                        dtype=np.float64)
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=4, grid_w=4,
+                        seed=3, dtype=np.float64)
     x_q = rand_ds(8, 4, 4, 9)
-    query = br.project(x_q)
+    node, _ = br.project(x_q)
     zero_rel = Tensor(np.zeros((4, 4)))
-    out = br.reflect(zero_rel, query.node, x_q)
-    assert np.array_equal(out.data, x_q.data.data)
+    out = br.reflect(zero_rel, node, x_q)
+    assert np.array_equal(out.data, x_q.data)
 
 
 def test_reflect_zero_relations_identity_with_nonzero_bias():
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, seed=3,
-                        dtype=np.float64)
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=4, grid_w=4,
+                        seed=3, dtype=np.float64)
     br.reflect_b.data[:] = 1.7  # constant shift; centering removes it
     x_q = rand_ds(8, 4, 4, 10)
-    query = br.project(x_q)
-    out = br.reflect(Tensor(np.zeros((4, 4))), query.node, x_q)
-    assert np.array_equal(out.data, x_q.data.data)
+    node, _ = br.project(x_q)
+    out = br.reflect(Tensor(np.zeros((4, 4))), node, x_q)
+    assert np.array_equal(out.data, x_q.data)
 
 
 def test_branch_gradients():
-    br = GraphReasoning(channels=6, proto_dim=3, gcn_depth=2, seed=4,
-                        dtype=np.float64)
+    br = GraphReasoning(channels=6, proto_dim=3, gcn_depth=2, grid_h=2, grid_w=3,
+                        seed=4, dtype=np.float64)
     x_s = rand_ds(6, 2, 3, 11)
     x_q = rand_ds(6, 2, 3, 12)
 

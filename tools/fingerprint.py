@@ -1,0 +1,83 @@
+"""Bit-identity fingerprint of protoseg's training and evaluation outputs.
+
+    python3 tools/fingerprint.py [SRC_DIR]
+
+Imports protoseg from SRC_DIR (default: this checkout's src/) with one BLAS
+thread, then hashes, in order:
+
+  train seed=S fold=S     every checkpoint file and the loss list of the
+                          default desk `train`, for S = 0, 1, 2
+  eval ... k=1 / k=5      the 20-episode `evaluate` report of each final
+                          network at K=1 and K=5
+  gradcheck               the floats of `gradcheck_model(Config())`
+
+It prints one sha256 per part and one over all parts. A change that claims
+to keep outputs bit-identical prints the same lines as its parent:
+
+    git archive --prefix=parent/ HEAD | tar -x -C /tmp
+    python3 tools/fingerprint.py /tmp/parent/src > parent.txt
+    python3 tools/fingerprint.py > change.txt
+    diff parent.txt change.txt
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+EVAL_EPISODES = 20
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+
+def import_protoseg(src: Path) -> None:
+    """Import protoseg from src with PROTOSEG_THREADS=1 deciding the BLAS
+    thread count, and refuse a copy found anywhere else."""
+    os.environ["PROTOSEG_THREADS"] = "1"
+    for var in BLAS_VARS:
+        os.environ.pop(var, None)
+    sys.path.insert(0, str(src))
+    import protoseg
+    found = Path(protoseg.__file__).resolve().parent
+    if found != src / "protoseg":
+        sys.exit("fingerprint: imported protoseg from %s, not from %s"
+                 % (found, src))
+
+
+def parts():
+    """Yield (label, bytes) for every hashed part, in a fixed order."""
+    from protoseg.config import Config
+    from protoseg.harness import evaluate, gradcheck_model, train
+
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            result = train(Config(seed=seed, fold=seed), out_dir=out_dir)
+            blob = b"".join(path.read_bytes() for path in result.checkpoints)
+        yield ("train seed=%d fold=%d" % (seed, seed),
+               blob + repr(result.losses).encode())
+        for k in (1, 5):
+            report = evaluate(result.network, k=k, episodes=EVAL_EPISODES)
+            yield ("eval seed=%d fold=%d k=%d" % (seed, seed, k),
+                   json.dumps(report.to_dict(), sort_keys=True).encode())
+    errors = gradcheck_model(Config())
+    yield "gradcheck", repr(sorted(errors.items())).encode()
+
+
+def main(argv) -> None:
+    if len(argv) > 1:
+        sys.exit(__doc__)
+    default = Path(__file__).resolve().parent.parent / "src"
+    import_protoseg(Path(argv[0] if argv else default).resolve())
+    total = hashlib.sha256()
+    for label, blob in parts():
+        digest = hashlib.sha256(blob).hexdigest()
+        total.update(digest.encode())
+        print("%s  %s" % (digest, label), flush=True)
+    print("%s  total" % total.hexdigest())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
