@@ -1,5 +1,6 @@
 """Synthetic surface-defect classes, deterministic sample rendering, and
-episodic sampling over class folds, inline or one ahead in a worker process.
+episodic sampling over class folds, inline or ahead in a worker process
+that hands episodes over through shared-memory slots.
 
 Twelve procedurally defined classes cycle through three shape families
 (scratches, patches, pit clusters), each with its own background texture and
@@ -21,7 +22,7 @@ import numpy as np
 from .bilinear import bilinear_matrix
 from .encoder import mask_to_feature_grid
 from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
-                     UsageError)
+                     UsageError, ValidationError)
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -31,6 +32,9 @@ FG_MAX = 0.60
 _SHAPE_RETRIES = 12
 _GRID_RETRIES = 8
 _CLASS_TABLE_SEED = 0xC1A55
+# Shared-memory slots of an EpisodeStream: the worker fills one while the
+# caller copies out of the other.
+_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -353,6 +357,17 @@ class Episode:
         return len(self.support_images)
 
 
+def _check_request(role: str, k: int, image_size: int) -> None:
+    """Reject a role, shot count or image size no episode can have."""
+    if role not in ("train", "test"):
+        raise ConfigError("role must be 'train' or 'test', got %r" % role)
+    if k < 1:
+        raise ConfigError("k must be >= 1, got %d" % k)
+    if image_size < 4 or image_size % 4:
+        raise ConfigError("image_size must be a positive multiple of 4, got %d"
+                          % image_size)
+
+
 @functools.cache
 def _class_table() -> Mapping[int, DefectClass]:
     return MappingProxyType({c.class_id: c for c in default_classes()})
@@ -373,12 +388,7 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     """
     if ahead is not None:
         return ahead.take(split, role, k, seed, image_size)
-    if role not in ("train", "test"):
-        raise ConfigError("role must be 'train' or 'test', got %r" % role)
-    if k < 1:
-        raise ConfigError("k must be >= 1, got %d" % k)
-    if image_size % 4:
-        raise ConfigError("image_size must be divisible by 4, got %d" % image_size)
+    _check_request(role, k, image_size)
     table = _class_table()
     pool = split.train_class_ids if role == "train" else split.test_class_ids
     for cid in pool:
@@ -419,37 +429,59 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
 
 
 class EpisodeStream:
-    """The episodes for `seeds`, in order, rendered one ahead of the caller
-    by a forked worker process while the caller computes on the previous
-    one. Take them with `sample_episode(..., ahead=stream)`.
+    """The episodes for `seeds`, in order, rendered ahead of the caller by a
+    forked worker process while the caller computes on earlier ones. Take
+    them with `sample_episode(..., ahead=stream)`.
 
-    The worker sends each episode through a one-way pipe; its blocking send
-    keeps it about one episode ahead. An exception raised while rendering
-    is sent instead and raised again by `take`, at the same episode. Use
-    the stream as a context manager: leaving it terminates and joins the
-    worker and closes the pipe. It needs the `fork` start method; a
-    spawned worker would import numpy and the package again for every
-    stream.
+    Every episode of a stream has the same layout, fixed by `(k,
+    image_size)`, so the worker hands them over through an anonymous shared
+    map of `_SLOTS` slots, each one float32 run: the K+1 images `(3, S, S)`
+    (supports, then the query), then the K+1 masks `(S, S)`. The worker
+    renders an episode, copies it into slot `i % _SLOTS` and sends only
+    `(slot, class_id)` down a one-way pipe; before it reuses a slot it
+    waits for a one-byte release on a second pipe. `take` copies the slot
+    once, releases it, and builds the `Episode` from views of that private
+    copy, so no view of the shared map leaves the stream.
+
+    An exception raised while rendering, or an array that does not fit the
+    slot layout, is sent pickled instead and raised again by `take`, at the
+    same episode. Use the stream as a context manager: leaving it
+    terminates and joins the worker and closes the pipes and the map. It
+    needs the `fork` start method; a spawned worker would import numpy and
+    the package again for every stream.
     """
 
     def __init__(self, split: FoldSplit, role: str, k: int,
                  seeds: Sequence[int], image_size: int):
         # Imported here: it costs more than a fork and join, and callers
         # that never stream should not pay it at import.
+        import mmap
         import multiprocessing
 
+        # Checked here, not by the worker, because they size the map.
+        _check_request(role, k, image_size)
         self._request = (split, role, k, image_size)
         self._seeds = list(seeds)
         self._taken = 0
+        # K+1 images of three channels, then K+1 masks.
+        slot_floats = (k + 1) * 4 * image_size * image_size
+        # Mapped before the fork, so the worker writes the pages the caller
+        # reads.
+        self._map = mmap.mmap(-1, _SLOTS * slot_floats * 4)
+        self._slab = np.frombuffer(self._map, np.float32).reshape(
+            _SLOTS, slot_floats)
         ctx = multiprocessing.get_context("fork")
         self._recv, send = ctx.Pipe(duplex=False)
+        released, self._release = ctx.Pipe(duplex=False)
         self._worker = ctx.Process(
             target=_render_ahead, daemon=True,
-            args=(send, split, role, k, self._seeds, image_size))
+            args=(send, released, self._slab, split, role, k, self._seeds,
+                  image_size))
         try:
             self._worker.start()
         finally:
             send.close()
+            released.close()
 
     def take(self, split: FoldSplit, role: str, k: int, seed: int,
              image_size: int) -> Episode:
@@ -474,14 +506,38 @@ class EpisodeStream:
         self._taken += 1
         if isinstance(item, Exception):
             raise item
-        return item
+        slot, class_id = item
+        data = self._slab[slot].copy()
+        if i + _SLOTS < len(self._seeds):
+            try:
+                self._release.send_bytes(b"\0")
+            except BrokenPipeError:
+                # The worker has stopped. What it sent first is still in
+                # the pipe; the take that runs past it says why.
+                pass
+        images, masks = _slot_views(data, k, image_size)
+        return Episode(class_id=class_id,
+                       support_images=list(images[:k]),
+                       support_masks=list(masks[:k]),
+                       query_image=images[k],
+                       query_mask=masks[k],
+                       seed=seed)
 
     def close(self) -> None:
-        # Terminated before the pipe closes, so the worker never fails a
+        """Stop the worker and release every descriptor and the map;
+        closing again does nothing."""
+        if self._map.closed:
+            return
+        # Terminated before the pipes close, so the worker never fails a
         # send to a closed pipe.
         self._worker.terminate()
         self._worker.join()
+        self._worker.close()
         self._recv.close()
+        self._release.close()
+        # The map refuses to close while an array still exports it.
+        self._slab = None
+        self._map.close()
 
     def __enter__(self) -> "EpisodeStream":
         return self
@@ -490,17 +546,54 @@ class EpisodeStream:
         self.close()
 
 
-def _render_ahead(conn, split: FoldSplit, role: str, k: int,
-                  seeds: Sequence[int], image_size: int) -> None:
-    """Worker body: render and send each episode, or the first exception."""
+def _slot_views(slot: np.ndarray, k: int, image_size: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The `(K+1, 3, S, S)` images and `(K+1, S, S)` masks of one slot."""
+    split_at = (k + 1) * 3 * image_size * image_size
+    return (slot[:split_at].reshape(k + 1, 3, image_size, image_size),
+            slot[split_at:].reshape(k + 1, image_size, image_size))
+
+
+def _fill(slot: np.ndarray, episode: Episode, k: int,
+          image_size: int) -> None:
+    """Copy an episode into a slot; raise ValidationError, naming the
+    array, for one whose count, dtype or shape the slot does not hold."""
+    if len(episode.support_images) != k or len(episode.support_masks) != k:
+        raise ValidationError(
+            "episode %d: %d support images and %d support masks, the "
+            "stream's slot holds %d of each"
+            % (episode.seed, len(episode.support_images),
+               len(episode.support_masks), k))
+    images, masks = _slot_views(slot, k, image_size)
+    names = (["support image %d" % j for j in range(k)] + ["query image"]
+             + ["support mask %d" % j for j in range(k)] + ["query mask"])
+    arrays = (*episode.support_images, episode.query_image,
+              *episode.support_masks, episode.query_mask)
+    for name, src, dst in zip(names, arrays, (*images, *masks)):
+        if src.dtype != dst.dtype or src.shape != dst.shape:
+            raise ValidationError(
+                "episode %d: %s is %s %s, the stream's slot holds %s %s"
+                % (episode.seed, name, src.dtype, src.shape, dst.dtype,
+                   dst.shape))
+        dst[...] = src
+
+
+def _render_ahead(conn, released, slab: np.ndarray, split: FoldSplit,
+                  role: str, k: int, seeds: Sequence[int],
+                  image_size: int) -> None:
+    """Worker body: render each episode into its slot and send the header,
+    or send the first exception and stop."""
     import signal  # loaded already, by multiprocessing
 
     # Ctrl-C reaches the whole process group; the caller stops the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         try:
             episode = sample_episode(split, role, k, seed, image_size)
+            if i >= _SLOTS:
+                released.recv_bytes()
+            _fill(slab[i % _SLOTS], episode, k, image_size)
         except Exception as exc:
             conn.send(exc)
             return
-        conn.send(episode)
+        conn.send((i % _SLOTS, episode.class_id))

@@ -25,10 +25,10 @@ def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
 def bce_loss(probabilities: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over pixels, probabilities clamped to
     [eps, 1-eps] so saturated outputs keep a finite loss."""
+    target = check_binary(target, "target mask")
     if probabilities.shape != target.shape:
         raise DimensionError("prediction %s and target %s differ"
                              % (probabilities.shape, target.shape))
-    check_binary(target, "target mask")
     p = ad.clamp(probabilities, CLAMP_EPS, 1.0 - CLAMP_EPS)
     hit = ad.mul(target, ad.log(p))
     miss = ad.mul(ad.add(ad.mul(target, -1.0), 1.0),

@@ -4,6 +4,7 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from protoseg.episodes import (DefectClass, DistortionParams, Episode,
                                default_classes, generate_sample, make_folds,
                                sample_episode, warp_mask)
 from protoseg.errors import (ConfigError, DegenerateEpisodeError,
-                             ProtosegError, UsageError)
+                             ProtosegError, UsageError, ValidationError)
 
 from oracles import naive_paint_discs
 
@@ -232,6 +233,8 @@ def test_episode_validation():
         sample_episode(SPLIT, "train", 0, 0, 32)
     with pytest.raises(ConfigError):
         sample_episode(SPLIT, "train", 1, 0, 30)  # not divisible by 4
+    with pytest.raises(ConfigError):
+        sample_episode(SPLIT, "train", 1, 0, 0)
 
 
 # Every episode the golden set renders, hashed in order. Rendering must stay
@@ -322,6 +325,74 @@ def test_stream_left_early_stops_its_worker():
         sample_episode(SPLIT, "test", 5, 0, 64, ahead=stream)
         assert len(multiprocessing.active_children()) == 1
     assert not multiprocessing.active_children()
+
+
+class _SlowCopy(np.ndarray):
+    """An array whose copy waits first, long enough for a worker that was
+    let into the slot being copied to overwrite it."""
+
+    def copy(self, order="C"):
+        time.sleep(0.05)
+        return super().copy(order)
+
+
+@pytest.mark.parametrize("k, size", ((5, 64), (1, 32)))
+def test_stream_episodes_outlive_slot_reuse(k, size):
+    # Six episodes through two slots write each slot three times; episodes
+    # kept until the stream has closed must still be the inline draws.
+    seeds = [40 * k + size + i for i in range(6)]
+    with EpisodeStream(SPLIT, "test", k, seeds, size) as stream:
+        stream._slab = stream._slab.view(_SlowCopy)
+        taken = [sample_episode(SPLIT, "test", k, seed, size, ahead=stream)
+                 for seed in seeds]
+    for seed, got in zip(seeds, taken):
+        assert _fingerprint(got) == _fingerprint(
+            sample_episode(SPLIT, "test", k, seed, size))
+
+
+@pytest.mark.parametrize("spoil, message", (
+    (lambda ep: ep.support_masks.__setitem__(
+        1, ep.support_masks[1].astype(np.float64)),
+     r"support mask 1 is float64 \(32, 32\)"),
+    (lambda ep: setattr(ep, "query_image", ep.query_image[:, :, :28]),
+     r"query image is float32 \(3, 32, 28\)"),
+    (lambda ep: ep.support_masks.pop(),
+     r"2 support images and 1 support masks, the stream's slot holds 2"),
+), ids=("float64-mask", "cropped-query", "missing-mask"))
+def test_stream_refuses_episode_off_slot_layout(monkeypatch, spoil, message):
+    render = episodes.sample_episode
+
+    def off_layout(split, role, k, seed, image_size=64):
+        ep = render(split, role, k, seed, image_size)
+        spoil(ep)
+        return ep
+
+    # The worker forks after the patch and renders through it.
+    monkeypatch.setattr(episodes, "sample_episode", off_layout)
+    with EpisodeStream(SPLIT, "test", 2, [0, 1], 32) as stream:
+        with pytest.raises(ValidationError, match="^episode 0: " + message):
+            sample_episode(SPLIT, "test", 2, 0, 32, ahead=stream)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("k, size", ((-1, 32), (1, 0)))
+def test_stream_refuses_request_it_cannot_size(k, size):
+    with pytest.raises(ConfigError):
+        EpisodeStream(SPLIT, "test", k, [0, 1], size)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_closed_streams_hold_no_descriptors():
+    before = len(os.listdir("/proc/self/fd"))
+    kept = []
+    for seed in range(5):
+        with EpisodeStream(SPLIT, "test", 1, [seed, seed + 1], 32) as stream:
+            sample_episode(SPLIT, "test", 1, seed, 32, ahead=stream)
+        stream.close()  # a second close does nothing
+        kept.append(stream)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -96,6 +96,14 @@ def test_bce_shape_and_binary_validation():
         bce_loss(pred, np.full((2, 2), 0.4))
 
 
+def test_bce_accepts_nested_list_target():
+    pred = probs_from_logits(np.array([[1.5, -0.5], [0.25, -2.0]]))
+    listed = bce_loss(pred, [[0, 1], [1, 0]]).item()
+    assert listed == bce_loss(pred, np.array([[0.0, 1.0], [1.0, 0.0]])).item()
+    with pytest.raises(DimensionError):
+        bce_loss(pred, [[0, 1]])
+
+
 def test_bce_rejects_tensor_target_by_type():
     pred = probs_from_logits(np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="target mask must be a numeric "

@@ -178,15 +178,15 @@ def test_render_error_surfaces_at_its_episode(monkeypatch):
 
 
 def test_import_does_not_load_multiprocessing():
-    # The episode worker imports multiprocessing when it starts; a fresh
-    # interpreter's import of the package stays without it.
+    # An episode stream imports multiprocessing and mmap when it opens; a
+    # fresh interpreter's import of the package stays without them.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import protoseg.harness, protoseg.cli; "
-             "print('multiprocessing' in sys.modules)")
+             "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)")
     src = str(Path(protoseg.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe, src], check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 _BLAS_PROBE = """
