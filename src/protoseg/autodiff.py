@@ -404,55 +404,43 @@ def _check_kernel(k: int) -> None:
 
 
 def conv1d(x, weight, bias=None) -> Tensor:
-    """Same-padded 1-D convolution. x: (c_in, l), weight: (c_out, c_in, k)."""
+    """Pointwise 1-D convolution, y = W x + b. x: (c_in, l), weight:
+    (c_out, c_in, 1), bias: (c_out,)."""
     x = _coerce(x)
     weight = _coerce(weight, x)
     if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise DimensionError("conv1d expects x (c_in, l) and weight (c_out, c_in, k)")
+        raise DimensionError("conv1d expects x (c_in, l) and weight (c_out, c_in, 1)")
     c_out, c_in, k = weight.shape
+    if k != 1:
+        raise DimensionError("conv1d is pointwise: weight width must be 1, got %d" % k)
     if x.shape[0] != c_in:
         raise DimensionError("conv1d channel mismatch: x has %d, weight expects %d"
                              % (x.shape[0], c_in))
-    _check_kernel(k)
-    length = x.shape[1]
-    pad = (k - 1) // 2
-    xp = np.zeros((c_in, length + 2 * pad), dtype=x.data.dtype)
-    xp[:, pad:pad + length] = x.data
-    # Columns: (c_in * k, l), one column per output position;
-    # tap t of output i reads xp[:, i + t].
-    sc, sl = xp.strides
-    win = np.lib.stride_tricks.as_strided(xp, (c_in, k, length), (sc, sl, sl),
-                                          writeable=False)
-    cols = np.ascontiguousarray(win).reshape(c_in * k, length)
-    w2 = weight.data.reshape(c_out, c_in * k)
-    y = w2 @ cols
+    w2 = weight.data.reshape(c_out, c_in)
+    y = w2 @ x.data
     parents = [x, weight]
     if bias is not None:
         bias = _coerce(bias, x)
-        if bias.shape not in ((c_out,), (c_out, 1)):
-            raise DimensionError("conv1d bias shape %s does not match %d channels"
+        if bias.shape != (c_out,):
+            raise DimensionError("conv1d bias shape %s is not (%d,)"
                                  % (bias.shape, c_out))
         y = y + bias.data.reshape(c_out, 1)
         parents.append(bias)
     out = Tensor(y)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(weight, (g @ cols.T).reshape(weight.shape))
+        _accumulate(weight, (g @ x.data.T).reshape(weight.shape))
         if bias is not None:
-            _accumulate(bias, g.sum(axis=1).reshape(bias.shape))
-        if not x.requires_grad:
-            return
-        gcols = (w2.T @ g).reshape(c_in, k, length)
-        gxp = np.zeros_like(xp)
-        for t in range(k):
-            gxp[:, t:t + length] += gcols[:, t, :]
-        _accumulate(x, gxp[:, pad:pad + length] if pad else gxp)
+            _accumulate(bias, g.sum(axis=1))
+        if x.requires_grad:
+            _accumulate(x, w2.T @ g)
 
     return _record(out, tuple(parents), backward)
 
 
 def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
-    """Same-padded 2-D convolution. x: (c_in, h, w), weight: (c_out, c_in, k, k)."""
+    """Same-padded 2-D convolution. x: (c_in, h, w), weight: (c_out, c_in,
+    k, k), bias: (c_out,)."""
     x = _coerce(x)
     weight = _coerce(weight, x)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -485,8 +473,8 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
     parents = [x, weight]
     if bias is not None:
         bias = _coerce(bias, x)
-        if bias.shape not in ((c_out,), (c_out, 1), (c_out, 1, 1)):
-            raise DimensionError("conv2d bias shape %s does not match %d channels"
+        if bias.shape != (c_out,):
+            raise DimensionError("conv2d bias shape %s is not (%d,)"
                                  % (bias.shape, c_out))
         y = y + bias.data.reshape(c_out, 1)
         parents.append(bias)
@@ -496,7 +484,7 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
         g2 = g.reshape(c_out, hh * ww)
         _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
         if bias is not None:
-            _accumulate(bias, g2.sum(axis=1).reshape(bias.shape))
+            _accumulate(bias, g2.sum(axis=1))
         if not x.requires_grad:
             return
         _accumulate(x, _col2im(g, weight.data, x.shape, xp.dtype, stride))

@@ -475,8 +475,8 @@ class EpisodeStream:
         released, self._release = ctx.Pipe(duplex=False)
         self._worker = ctx.Process(
             target=_render_ahead, daemon=True,
-            args=(send, released, self._slab, split, role, k, self._seeds,
-                  image_size))
+            args=((self._recv, self._release), send, released, self._slab,
+                  split, role, k, self._seeds, image_size))
         try:
             self._worker.start()
         finally:
@@ -578,13 +578,19 @@ def _fill(slot: np.ndarray, episode: Episode, k: int,
         dst[...] = src
 
 
-def _render_ahead(conn, released, slab: np.ndarray, split: FoldSplit,
-                  role: str, k: int, seeds: Sequence[int],
+def _render_ahead(caller_ends, conn, released, slab: np.ndarray,
+                  split: FoldSplit, role: str, k: int, seeds: Sequence[int],
                   image_size: int) -> None:
     """Worker body: render each episode into its slot and send the header,
     or send the first exception and stop."""
     import signal  # loaded already, by multiprocessing
 
+    # With the fork's copies of the caller's pipe ends closed, a caller gone
+    # even by SIGKILL ends a wait for a release (EOFError) and the next send
+    # kills the worker quietly (SIGPIPE).
+    for end in caller_ends:
+        end.close()
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     # Ctrl-C reaches the whole process group; the caller stops the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for i, seed in enumerate(seeds):

@@ -17,8 +17,9 @@ CLAMP_EPS = 1e-7
 def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
     """Threshold probabilities; ties go to foreground."""
     p = probabilities.data
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
+    # Written so that NaN, which fails every comparison, fails it too.
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValidationError("probabilities must be finite and lie in [0, 1]")
     return (p >= threshold).astype(p.dtype)
 
 

@@ -16,7 +16,7 @@ from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, config_from_dict
 from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
                        sample_episode)
-from .errors import ConfigError, FormatError, TrainingError
+from .errors import ConfigError, FormatError, TrainingError, ValidationError
 from .fusion import bce_loss, binarize
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
@@ -96,8 +96,9 @@ def load_network(path, dtype=np.float32) -> tuple[FewShotSegmenter, dict]:
                               % (key, want, header.get(key)))
     if not isinstance(header.get("config"), dict):
         raise FormatError("config: header field missing or not an object")
-    if not isinstance(header.get("epoch"), int):
-        raise FormatError("epoch: header field missing or not an integer")
+    epoch = header.get("epoch")
+    if type(epoch) is not int or epoch < 0:  # bool is an int subclass
+        raise FormatError("epoch: header field missing or not a non-negative integer")
     config = config_from_dict(header["config"])
     net = FewShotSegmenter(config, dtype)
     net.load_parameter_arrays(arrays)
@@ -196,12 +197,16 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
     loss_values: list[float] = []
     seeds = [derive_seed(eval_seed, "eval", i) for i in range(episodes)]
     with EpisodeStream(split, "test", k, seeds, cfg.image_size) as stream:
-        for ep_seed in seeds:
+        for i, ep_seed in enumerate(seeds):
             ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
                                 ahead=stream)
             probabilities = net.forward(ep)
             target = ep.query_mask.astype(net.dtype, copy=False)
-            loss_values.append(bce_loss(probabilities, target).item())
+            loss = bce_loss(probabilities, target).item()
+            if not np.isfinite(loss):
+                raise ValidationError("non-finite loss at evaluation episode "
+                                      "%d (episode seed %d)" % (i, ep_seed))
+            loss_values.append(loss)
             pred = binarize(probabilities)
             score = iou(pred, ep.query_mask)
             pairs.append((ep.class_id, score))

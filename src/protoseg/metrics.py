@@ -70,8 +70,8 @@ class EvalReport:
     miou: float
     fb_iou: float
     parameter_count: int
+    mean_loss: float
     per_class_iou: dict[int, float] = field(default_factory=dict)
-    mean_loss: float = float("nan")
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +83,7 @@ class EvalReport:
             "parameter_count": self.parameter_count,
             "per_class_iou": {str(k): v for k, v in
                               sorted(self.per_class_iou.items())},
-            "mean_loss": None if np.isnan(self.mean_loss) else self.mean_loss,
+            "mean_loss": self.mean_loss,
         }
 
     def to_text(self) -> str:
@@ -94,9 +94,8 @@ class EvalReport:
             "parameter_count = %d" % self.parameter_count,
             "miou = %.6f" % self.miou,
             "fb_iou = %.6f" % self.fb_iou,
+            "mean_loss = %.6f" % self.mean_loss,
         ]
-        if not np.isnan(self.mean_loss):
-            lines.append("mean_loss = %.6f" % self.mean_loss)
         for cid in sorted(self.per_class_iou):
             lines.append("class_%d_iou = %.6f" % (cid, self.per_class_iou[cid]))
         lines.append("json = %s" % json.dumps(self.to_dict(), sort_keys=True))

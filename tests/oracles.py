@@ -19,18 +19,15 @@ def naive_matmul(a, b):
 
 
 def naive_conv1d(x, w, b):
+    """Pointwise: w is (c_out, c_in, 1)."""
     c_in, length = x.shape
-    c_out, _, k = w.shape
-    pad = k // 2
+    c_out = w.shape[0]
     out = np.zeros((c_out, length))
     for o in range(c_out):
         for pos in range(length):
             acc = 0.0
             for ci in range(c_in):
-                for kk in range(k):
-                    src = pos + kk - pad
-                    if 0 <= src < length:
-                        acc += x[ci, src] * w[o, ci, kk]
+                acc += x[ci, pos] * w[o, ci, 0]
             out[o, pos] = acc + (b[o] if b is not None else 0.0)
     return out
 

@@ -94,19 +94,19 @@ def test_oracle_suite():
         c_in, c_out, length = rng.integers(1, 6, size=3)
         kern = int(rng.choice([1, 3, 5]))
         x = rng.normal(size=(c_in, length))
-        w = rng.normal(size=(c_out, c_in, kern))
-        bias = rng.normal(size=(c_out, 1))
+        w = rng.normal(size=(c_out, c_in, 1))
+        bias = rng.normal(size=c_out)
         track("conv1d", np.abs(ad.conv1d(Tensor(x), Tensor(w), Tensor(bias)).data
-                               - oracles.naive_conv1d(x, w, bias[:, 0])).max())
+                               - oracles.naive_conv1d(x, w, bias)).max())
 
         h, wd = rng.integers(4, 9, size=2)
         stride = int(rng.choice([1, 2]))
         x2 = rng.normal(size=(c_in, h, wd))
         w2 = rng.normal(size=(c_out, c_in, kern, kern))
-        b2 = rng.normal(size=(c_out, 1, 1))
+        b2 = rng.normal(size=c_out)
         track("conv2d",
               np.abs(ad.conv2d(Tensor(x2), Tensor(w2), Tensor(b2), stride=stride).data
-                     - oracles.naive_conv2d(x2, w2, b2[:, 0, 0], stride=stride)).max())
+                     - oracles.naive_conv2d(x2, w2, b2, stride=stride)).max())
 
         c, l = int(rng.integers(1, 6)), int(rng.integers(2, 17))
         p = rng.normal(size=(c, l))

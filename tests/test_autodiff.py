@@ -36,9 +36,8 @@ def test_conv1d_matches_naive(seed):
     rng = np.random.default_rng(100 + seed)
     c_in, c_out = rng.integers(1, 5, size=2)
     length = int(rng.integers(3, 12))
-    k = int(rng.choice([1, 3, 5]))
     x = rng.normal(size=(c_in, length))
-    w = rng.normal(size=(c_out, c_in, k))
+    w = rng.normal(size=(c_out, c_in, 1))
     b = rng.normal(size=c_out)
     got = ad.conv1d(t64(x), t64(w), t64(b)).data
     assert np.abs(got - naive_conv1d(x, w, b)).max() < 1e-12
@@ -70,10 +69,26 @@ def test_avg_pool_matches_naive(seed):
 
 
 def test_conv_rejects_even_kernel():
-    x = t64(np.zeros((2, 5)))
-    w = t64(np.zeros((3, 2, 4)))
+    x = t64(np.zeros((2, 5, 5)))
+    w = t64(np.zeros((3, 2, 4, 4)))
     with pytest.raises(ConfigError):
-        ad.conv1d(x, w)
+        ad.conv2d(x, w)
+
+
+def test_conv1d_rejects_wide_kernel():
+    with pytest.raises(DimensionError, match="width must be 1"):
+        ad.conv1d(t64(np.zeros((2, 5))), t64(np.zeros((3, 2, 3))))
+
+
+@pytest.mark.parametrize("bias_shape", [(3, 1), (3, 1, 1)])
+@pytest.mark.parametrize("conv,x_shape,w_shape", [
+    ("conv1d", (2, 5), (3, 2, 1)),
+    ("conv2d", (2, 5, 5), (3, 2, 3, 3)),
+])
+def test_conv_rejects_bias_other_than_c_out(conv, x_shape, w_shape, bias_shape):
+    with pytest.raises(DimensionError, match=r"is not \(3,\)"):
+        getattr(ad, conv)(t64(np.zeros(x_shape)), t64(np.zeros(w_shape)),
+                          t64(np.zeros(bias_shape)))
 
 
 def test_matmul_rejects_non_rank2():
@@ -272,8 +287,8 @@ def test_conv_gradients():
 def test_conv1d_gradients():
     rng = np.random.default_rng(8)
     x = param("x", rng.normal(size=(3, 7)))
-    w = param("w", rng.normal(size=(2, 3, 5)))
-    b = param("b", rng.normal(size=(2, 1)))
+    w = param("w", rng.normal(size=(2, 3, 1)))
+    b = param("b", rng.normal(size=(2,)))
 
     def f():
         return ad.tensor_mean(ad.power(ad.conv1d(x, w, b), 2.0))
@@ -284,7 +299,7 @@ def test_conv1d_gradients():
 @pytest.mark.parametrize("conv,x_shape,w_shape,stride", [
     ("conv2d", (2, 5, 5), (3, 2, 3, 3), 2),
     ("conv2d", (2, 6, 6), (3, 2, 1, 1), 1),
-    ("conv1d", (3, 7), (2, 3, 5), None),
+    ("conv1d", (3, 7), (2, 3, 1), None),
 ])
 def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
                                                         stride):

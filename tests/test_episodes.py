@@ -4,7 +4,10 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +396,53 @@ def test_closed_streams_hold_no_descriptors():
         stream.close()  # a second close does nothing
         kept.append(stream)
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+_KILLED_CALLER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from protoseg.episodes import EpisodeStream, make_folds
+split = make_folds(tuple(range(12)), seed=0, test_fold=0)
+stream = EpisodeStream(split, "test", 1, range(200), 32)
+print(stream._worker.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def _exited(pid):
+    """Whether pid is gone or a zombie; an orphan's new parent need not
+    reap it."""
+    try:
+        with open("/proc/%d/stat" % pid) as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the worker's state in /proc")
+def test_stream_worker_exits_when_its_caller_is_killed():
+    # A SIGKILLed caller runs no cleanup; only its pipes can tell the
+    # worker, which by then has filled both slots and waits for a release.
+    src = str(Path(episodes.__file__).resolve().parent.parent)
+    child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(child.stdout.readline())
+        time.sleep(0.5)
+        child.kill()
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not _exited(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not _exited(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("worker %d outlived its killed caller by 10 s" % worker)
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
 
 
 @pytest.mark.parametrize("seed", range(8))

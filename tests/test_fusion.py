@@ -59,6 +59,12 @@ def test_binarize_rejects_out_of_range():
         binarize(Tensor(np.array([[-0.1]])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_binarize_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        binarize(Tensor(np.array([[0.5, bad]])))
+
+
 def probs_from_logits(z):
     return ad.sigmoid(Tensor(np.asarray(z, dtype=np.float64)))
 

@@ -17,7 +17,7 @@ from protoseg.autodiff import Parameter, Tensor
 from protoseg.config import Config
 from protoseg.episodes import FoldSplit, sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
-                             TrainingError)
+                             TrainingError, ValidationError)
 from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               gradcheck_model, load_network, model_report,
                               render_ablation, save_checkpoint, train)
@@ -286,6 +286,15 @@ def test_load_network_requires_header_field(tmp_path, key):
     assert str(err.value).startswith(key + ":")
 
 
+@pytest.mark.parametrize("epoch", [True, -3])
+def test_load_network_rejects_bad_epoch(tmp_path, epoch):
+    path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
+    _edit_header(path, lambda header: header.update(epoch=epoch))
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value).startswith("epoch:")
+
+
 def test_load_network_rejects_mistyped_config_value(tmp_path):
     path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
     _edit_header(path, lambda header: header["config"].update(channels="8"))
@@ -330,6 +339,16 @@ def test_evaluate_accepts_checkpoint_path(tmp_path):
     assert np.isfinite(report.miou)
     assert np.isfinite(report.mean_loss)
     assert report.parameter_count == result.network.parameter_count()
+
+
+def test_evaluate_raises_on_diverged_network():
+    net = FewShotSegmenter(TINY)
+    net.head.cls_b.data[:] = np.nan
+    with pytest.raises(ValidationError,
+                       match=r"episode 0 \(episode seed %d\)"
+                       % derive_seed(2, "eval", 0)):
+        evaluate(net, fold=TINY.fold, k=1, episodes=6, seed=2)
+    assert not multiprocessing.active_children()
 
 
 def test_evaluate_deterministic():

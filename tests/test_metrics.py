@@ -107,15 +107,10 @@ def test_eval_report_text_and_json():
     assert "k_shot = 5" in text
     assert "miou = 0.500000" in text
     assert "class_1_iou = 0.400000" in text
+    assert "mean_loss = 0.250000" in text
     last = text.splitlines()[-1]
     assert last.startswith("json = ")
     payload = json.loads(last[len("json = "):])
     assert payload["parameter_count"] == 1234
     assert payload["per_class_iou"] == {"1": 0.4, "3": 0.5}
-
-
-def test_eval_report_omits_nan_loss():
-    rep = EvalReport(fold=0, k_shot=1, episodes=10, miou=0.1, fb_iou=0.2,
-                     parameter_count=10)
-    assert "mean_loss" not in rep.to_text().replace('"mean_loss": null', "")
-    assert rep.to_dict()["mean_loss"] is None
+    assert payload["mean_loss"] == 0.25
