@@ -2,8 +2,9 @@
 
 PROTOSEG_THREADS caps the BLAS worker count (default 1, for bit-reproducible
 runs). It must take effect before numpy first loads, which is why it is
-handled here at package import. When numpy is already loaded and no BLAS
-variable is set, the cap cannot take effect, and a RuntimeWarning says so.
+handled here at package import; a value that is not a positive integer
+raises ConfigError. When numpy is already loaded and no BLAS variable is
+set, the cap cannot take effect, and a RuntimeWarning says so.
 """
 
 import os as _os
@@ -21,5 +22,9 @@ if "numpy" in _sys.modules and not any(v in _os.environ for v in _BLAS_VARS):
         RuntimeWarning, stacklevel=2)
 
 _threads = _os.environ.get("PROTOSEG_THREADS", "1")
+if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+    from .errors import ConfigError
+    raise ConfigError("PROTOSEG_THREADS must be a positive integer, got %r"
+                      % _threads)
 for _var in _BLAS_VARS:
     _os.environ.setdefault(_var, _threads)

@@ -119,11 +119,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ProtosegError as e:
+    except (ProtosegError, OSError) as e:
         print("error = %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
-        print("error = FileNotFoundError: %s" % e, file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bilinear import bilinear_matrix
 from .encoder import mask_to_feature_grid
 from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
-                     UsageError, ValidationError)
+                     UsageError)
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -32,9 +32,9 @@ FG_MAX = 0.60
 _SHAPE_RETRIES = 12
 _GRID_RETRIES = 8
 _CLASS_TABLE_SEED = 0xC1A55
-# Shared-memory slots of an EpisodeStream: the worker fills one while the
-# caller copies out of the other.
-_SLOTS = 2
+# Shared-memory slots of an EpisodeStream: the worker renders into one
+# while the caller copies out of another, up to three episodes ahead.
+_SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -345,16 +345,18 @@ def make_folds(class_ids: Sequence[int], seed: int, test_fold: int = 0) -> FoldS
 
 @dataclass
 class Episode:
+    """K support pairs and one query pair of one class, as two float32
+    arrays with the supports first and the query last: `images` is
+    `(K+1, 3, S, S)` and `masks` is `(K+1, S, S)`."""
+
     class_id: int
-    support_images: list[np.ndarray]
-    support_masks: list[np.ndarray]
-    query_image: np.ndarray
-    query_mask: np.ndarray
+    images: np.ndarray
+    masks: np.ndarray
     seed: int
 
     @property
     def k(self) -> int:
-        return len(self.support_images)
+        return len(self.images) - 1
 
 
 def _check_request(role: str, k: int, image_size: int) -> None:
@@ -389,16 +391,36 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     if ahead is not None:
         return ahead.take(split, role, k, seed, image_size)
     _check_request(role, k, image_size)
+    run = np.empty((k + 1) * 4 * image_size * image_size, np.float32)
+    images, masks = _episode_views(run, k, image_size)
+    class_id = _render(images, masks, split, role, seed)
+    return Episode(class_id, images, masks, seed)
+
+
+def _episode_views(run: np.ndarray, k: int, image_size: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The `(K+1, 3, S, S)` images and `(K+1, S, S)` masks of an episode
+    laid out in one flat float32 run, images first."""
+    images, masks = np.split(run, [(k + 1) * 3 * image_size * image_size])
+    return (images.reshape(k + 1, 3, image_size, image_size),
+            masks.reshape(k + 1, image_size, image_size))
+
+
+def _render(images: np.ndarray, masks: np.ndarray, split: FoldSplit,
+            role: str, seed: int) -> int:
+    """Render the episode `seed` of `role` into `images` and `masks`,
+    supports first, and return its class id."""
     table = _class_table()
     pool = split.train_class_ids if role == "train" else split.test_class_ids
     for cid in pool:
         if cid not in table:
             raise ConfigError("fold references unknown class id %d" % cid)
+    k, image_size = len(images) - 1, images.shape[-1]
     grid_size = image_size // 4
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
-
-    def draw_pair(which: str, index: int) -> tuple[np.ndarray, np.ndarray]:
+    for index in range(k + 1):
+        which, shot = ("support", index) if index < k else ("query", 0)
         for attempt in range(_GRID_RETRIES):
             sub = int(rng.integers(len(cls.substyles)))
             dist = DistortionParams(
@@ -411,21 +433,15 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
             sample_seed = int(rng.integers(2 ** 31))
             img, mask = generate_sample(cls, sub, dist, sample_seed, image_size)
             if mask_to_feature_grid(mask, grid_size, grid_size).any():
-                return img, mask
+                images[index], masks[index] = img, mask
+                break
             log.info("episode %d: resampling %s %d (empty feature grid, "
-                     "attempt %d)", seed, which, index, attempt + 1)
-        raise DegenerateEpisodeError(
-            "episode %d: %s sample kept an empty feature grid after %d draws"
-            % (seed, which, _GRID_RETRIES))
-
-    support = [draw_pair("support", i) for i in range(k)]
-    query_img, query_mask = draw_pair("query", 0)
-    return Episode(class_id=cls.class_id,
-                   support_images=[s[0] for s in support],
-                   support_masks=[s[1] for s in support],
-                   query_image=query_img,
-                   query_mask=query_mask,
-                   seed=seed)
+                     "attempt %d)", seed, which, shot, attempt + 1)
+        else:
+            raise DegenerateEpisodeError(
+                "episode %d: %s sample kept an empty feature grid after %d "
+                "draws" % (seed, which, _GRID_RETRIES))
+    return cls.class_id
 
 
 class EpisodeStream:
@@ -433,22 +449,21 @@ class EpisodeStream:
     forked worker process while the caller computes on earlier ones. Take
     them with `sample_episode(..., ahead=stream)`.
 
-    Every episode of a stream has the same layout, fixed by `(k,
-    image_size)`, so the worker hands them over through an anonymous shared
-    map of `_SLOTS` slots, each one float32 run: the K+1 images `(3, S, S)`
-    (supports, then the query), then the K+1 masks `(S, S)`. The worker
-    renders an episode, copies it into slot `i % _SLOTS` and sends only
-    `(slot, class_id)` down a one-way pipe; before it reuses a slot it
-    waits for a one-byte release on a second pipe. `take` copies the slot
-    once, releases it, and builds the `Episode` from views of that private
-    copy, so no view of the shared map leaves the stream.
+    Every episode of a stream is one float32 run of the same length, fixed
+    by `(k, image_size)`, so the worker renders them straight into an
+    anonymous shared map of `_SLOTS` such runs: episode `i` goes to slot
+    `i % _SLOTS`. The caller and the worker share one duplex pipe. The
+    worker sends each episode's class id once its slot is written, and
+    before it reuses a slot it waits for a one-byte release from the
+    caller. `take` copies the slot once, releases it, and builds the
+    `Episode` from views of that private copy, so no view of the shared
+    map leaves the stream.
 
-    An exception raised while rendering, or an array that does not fit the
-    slot layout, is sent pickled instead and raised again by `take`, at the
-    same episode. Use the stream as a context manager: leaving it
-    terminates and joins the worker and closes the pipes and the map. It
-    needs the `fork` start method; a spawned worker would import numpy and
-    the package again for every stream.
+    An exception raised while rendering is sent pickled instead and raised
+    again by `take`, at the same episode. Use the stream as a context
+    manager: leaving it terminates and joins the worker and closes the
+    pipe and the map. It needs the `fork` start method; a spawned worker
+    would import numpy and the package again for every stream.
     """
 
     def __init__(self, split: FoldSplit, role: str, k: int,
@@ -471,22 +486,22 @@ class EpisodeStream:
         self._slab = np.frombuffer(self._map, np.float32).reshape(
             _SLOTS, slot_floats)
         ctx = multiprocessing.get_context("fork")
-        self._recv, send = ctx.Pipe(duplex=False)
-        released, self._release = ctx.Pipe(duplex=False)
+        self._conn, worker_end = ctx.Pipe()
         self._worker = ctx.Process(
             target=_render_ahead, daemon=True,
-            args=((self._recv, self._release), send, released, self._slab,
-                  split, role, k, self._seeds, image_size))
+            args=(self._conn, worker_end, self._slab, split, role, k,
+                  self._seeds, image_size))
         try:
             self._worker.start()
         finally:
-            send.close()
-            released.close()
+            worker_end.close()
 
     def take(self, split: FoldSplit, role: str, k: int, seed: int,
              image_size: int) -> Episode:
         """The next episode; the arguments must be the ones it was rendered
         for."""
+        if self._map.closed:
+            raise UsageError("episode stream is closed")
         i = self._taken
         if i == len(self._seeds):
             raise UsageError("episode stream is exhausted after %d episodes"
@@ -497,7 +512,7 @@ class EpisodeStream:
                 "episode stream renders episode %d as %r, not %r"
                 % (i, want[1:], (role, k, image_size, seed)))
         try:
-            item = self._recv.recv()
+            item = self._conn.recv()
         except EOFError:
             self._worker.join()
             raise ProtosegError(
@@ -506,35 +521,28 @@ class EpisodeStream:
         self._taken += 1
         if isinstance(item, Exception):
             raise item
-        slot, class_id = item
-        data = self._slab[slot].copy()
+        run = self._slab[i % _SLOTS].copy()
         if i + _SLOTS < len(self._seeds):
             try:
-                self._release.send_bytes(b"\0")
+                self._conn.send_bytes(b"\0")
             except BrokenPipeError:
                 # The worker has stopped. What it sent first is still in
                 # the pipe; the take that runs past it says why.
                 pass
-        images, masks = _slot_views(data, k, image_size)
-        return Episode(class_id=class_id,
-                       support_images=list(images[:k]),
-                       support_masks=list(masks[:k]),
-                       query_image=images[k],
-                       query_mask=masks[k],
-                       seed=seed)
+        images, masks = _episode_views(run, k, image_size)
+        return Episode(item, images, masks, seed)
 
     def close(self) -> None:
         """Stop the worker and release every descriptor and the map;
         closing again does nothing."""
         if self._map.closed:
             return
-        # Terminated before the pipes close, so the worker never fails a
+        # Terminated before the pipe closes, so the worker never fails a
         # send to a closed pipe.
         self._worker.terminate()
         self._worker.join()
         self._worker.close()
-        self._recv.close()
-        self._release.close()
+        self._conn.close()
         # The map refuses to close while an array still exports it.
         self._slab = None
         self._map.close()
@@ -546,60 +554,27 @@ class EpisodeStream:
         self.close()
 
 
-def _slot_views(slot: np.ndarray, k: int, image_size: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The `(K+1, 3, S, S)` images and `(K+1, S, S)` masks of one slot."""
-    split_at = (k + 1) * 3 * image_size * image_size
-    return (slot[:split_at].reshape(k + 1, 3, image_size, image_size),
-            slot[split_at:].reshape(k + 1, image_size, image_size))
-
-
-def _fill(slot: np.ndarray, episode: Episode, k: int,
-          image_size: int) -> None:
-    """Copy an episode into a slot; raise ValidationError, naming the
-    array, for one whose count, dtype or shape the slot does not hold."""
-    if len(episode.support_images) != k or len(episode.support_masks) != k:
-        raise ValidationError(
-            "episode %d: %d support images and %d support masks, the "
-            "stream's slot holds %d of each"
-            % (episode.seed, len(episode.support_images),
-               len(episode.support_masks), k))
-    images, masks = _slot_views(slot, k, image_size)
-    names = (["support image %d" % j for j in range(k)] + ["query image"]
-             + ["support mask %d" % j for j in range(k)] + ["query mask"])
-    arrays = (*episode.support_images, episode.query_image,
-              *episode.support_masks, episode.query_mask)
-    for name, src, dst in zip(names, arrays, (*images, *masks)):
-        if src.dtype != dst.dtype or src.shape != dst.shape:
-            raise ValidationError(
-                "episode %d: %s is %s %s, the stream's slot holds %s %s"
-                % (episode.seed, name, src.dtype, src.shape, dst.dtype,
-                   dst.shape))
-        dst[...] = src
-
-
-def _render_ahead(caller_ends, conn, released, slab: np.ndarray,
-                  split: FoldSplit, role: str, k: int, seeds: Sequence[int],
+def _render_ahead(caller_end, conn, slab: np.ndarray, split: FoldSplit,
+                  role: str, k: int, seeds: Sequence[int],
                   image_size: int) -> None:
-    """Worker body: render each episode into its slot and send the header,
-    or send the first exception and stop."""
+    """Worker body: render each episode into its slot and send its class
+    id, or send the first exception and stop."""
     import signal  # loaded already, by multiprocessing
 
-    # With the fork's copies of the caller's pipe ends closed, a caller gone
-    # even by SIGKILL ends a wait for a release (EOFError) and the next send
-    # kills the worker quietly (SIGPIPE).
-    for end in caller_ends:
-        end.close()
+    # With the fork's copy of the caller's end closed, a caller gone even by
+    # SIGKILL ends a wait for a release (EOFError) and the next send kills
+    # the worker quietly (SIGPIPE).
+    caller_end.close()
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     # Ctrl-C reaches the whole process group; the caller stops the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for i, seed in enumerate(seeds):
         try:
-            episode = sample_episode(split, role, k, seed, image_size)
             if i >= _SLOTS:
-                released.recv_bytes()
-            _fill(slab[i % _SLOTS], episode, k, image_size)
+                conn.recv_bytes()
+            images, masks = _episode_views(slab[i % _SLOTS], k, image_size)
+            class_id = _render(images, masks, split, role, seed)
         except Exception as exc:
             conn.send(exc)
             return
-        conn.send((i % _SLOTS, episode.class_id))
+        conn.send(class_id)

@@ -201,17 +201,17 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
             ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
                                 ahead=stream)
             probabilities = net.forward(ep)
-            target = ep.query_mask.astype(net.dtype, copy=False)
+            target = ep.masks[-1].astype(net.dtype, copy=False)
             loss = bce_loss(probabilities, target).item()
             if not np.isfinite(loss):
                 raise ValidationError("non-finite loss at evaluation episode "
                                       "%d (episode seed %d)" % (i, ep_seed))
             loss_values.append(loss)
             pred = binarize(probabilities)
-            score = iou(pred, ep.query_mask)
+            score = iou(pred, ep.masks[-1])
             pairs.append((ep.class_id, score))
             per_class[ep.class_id].append(score)
-            fbs.append(fb_iou(pred, ep.query_mask))
+            fbs.append(fb_iou(pred, ep.masks[-1]))
     return EvalReport(
         fold=fold, k_shot=k, episodes=episodes,
         miou=miou(pairs, split.test_class_ids),
@@ -300,7 +300,7 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
     grid = net.grid_size
     results: dict[str, float] = {}
 
-    image = episode.query_image.astype(np.float64)
+    image = episode.images[-1].astype(np.float64)
 
     def encoder_scalar():
         out = net.encoder(image)

@@ -89,7 +89,7 @@ class FewShotSegmenter:
         """K-averaged masked support descriptors plus the union feature grid."""
         masked = []
         grids = []
-        for img, msk in zip(episode.support_images, episode.support_masks):
+        for img, msk in zip(episode.images[:-1], episode.masks[:-1]):
             fmap = self.encoder(img.astype(self.dtype, copy=False))
             grid = mask_to_feature_grid(msk.astype(self.dtype, copy=False),
                                         self.grid_size, self.grid_size)
@@ -105,7 +105,7 @@ class FewShotSegmenter:
     def forward(self, episode: Episode) -> Tensor:
         """Foreground probabilities of the query image, (H, W)."""
         # K is free at inference; config.k_shot only steers episode sampling.
-        image = episode.query_image.astype(self.dtype, copy=False)
+        image = episode.images[-1].astype(self.dtype, copy=False)
         x_q = to_descriptors(self.encoder(image))
         x_s, union_grid = self.encode_support(episode)
         main = self.reasoning(x_s, x_q) if self.reasoning is not None else x_q
@@ -115,6 +115,6 @@ class FewShotSegmenter:
 
     def episode_loss(self, episode: Episode) -> Tensor:
         return bce_loss(self.forward(episode),
-                        episode.query_mask.astype(self.dtype, copy=False))
+                        episode.masks[-1].astype(self.dtype, copy=False))
 
     __call__ = forward

@@ -11,15 +11,21 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def derive_rng(seed: int, *path) -> np.random.Generator:
-    """Child generator for (seed, path...). Strings hash via crc32."""
-    entropy = [int(seed) & 0xFFFFFFFF]
-    for part in path:
+    """Child generator for (seed, path...). Strings hash via crc32. Integers
+    must lie in [0, 2**32), one entropy word each: masked into that range,
+    seed 2**32 would draw the stream of seed 0."""
+    entropy = []
+    for part in (seed, *path):
         if isinstance(part, str):
             entropy.append(zlib.crc32(part.encode("utf-8")))
+        elif 0 <= int(part) < 2 ** 32:
+            entropy.append(int(part))
         else:
-            entropy.append(int(part) & 0xFFFFFFFF)
+            raise ConfigError("seed part %d is outside [0, 2**32)" % part)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

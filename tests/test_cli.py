@@ -70,10 +70,18 @@ def test_eval_too_few_episodes_is_incomplete(trained_ckpt, capsys):
         "error = IncompleteEvaluationError:")
 
 
-def test_eval_missing_file(capsys, tmp_path):
-    code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--fold", "0"])
+@pytest.mark.parametrize("argv, error", (
+    ("eval --ckpt {tmp}/nope.ckpt --fold 0", "FileNotFoundError"),
+    ("report --ckpt {tmp}", "IsADirectoryError"),
+    ("train --config {cfg} --out {cfg}/sub", "NotADirectoryError"),
+), ids=("missing-file", "directory-as-file", "file-as-directory"))
+def test_eval_missing_file(argv, error, tiny_config, tmp_path, capsys):
+    code = main([word.format(tmp=tmp_path, cfg=tiny_config)
+                 for word in argv.split()])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error = FileNotFoundError:")
+    err = capsys.readouterr().err
+    assert err.startswith("error = %s:" % error)
+    assert err.count("\n") == 1
 
 
 def test_report_describes_checkpoint(trained_ckpt, capsys):

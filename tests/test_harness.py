@@ -159,21 +159,30 @@ def test_unknown_class_in_split_fails_training(monkeypatch):
 
 def test_render_error_surfaces_at_its_episode(monkeypatch):
     seeds = [derive_seed(3, "eval", i) for i in range(5)]
-    render = episodes.sample_episode
+    render = episodes._render
 
-    def failing(split, role, k, seed, image_size=64):
+    def failing(images, masks, split, role, seed):
         if seed == seeds[3]:
             raise DegenerateEpisodeError("empty grid (seed %d)" % seed)
-        return render(split, role, k, seed, image_size)
+        return render(images, masks, split, role, seed)
 
     # The worker forks after the patch and renders through it.
-    monkeypatch.setattr(episodes, "sample_episode", failing)
+    monkeypatch.setattr(episodes, "_render", failing)
     net = FewShotSegmenter(TINY)
-    scored = _score_as(net, lambda ep: ep.query_mask)
+    scored = _score_as(net, lambda ep: ep.masks[-1])
     with pytest.raises(DegenerateEpisodeError,
                        match=r"^empty grid \(seed %d\)$" % seeds[3]):
         evaluate(net, k=1, episodes=5, seed=3)
     assert scored == seeds[:3]
+    assert not multiprocessing.active_children()
+
+
+def test_seed_outside_32_bits_is_refused():
+    # Masked to 32 bits, these seeds would repeat the runs of 0 and 2**32-1.
+    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
+        train(TINY.with_overrides(seed=2 ** 32))
+    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
+        evaluate(FewShotSegmenter(TINY), k=1, episodes=3, seed=-1)
     assert not multiprocessing.active_children()
 
 
@@ -220,6 +229,21 @@ def test_blas_thread_cap_warns_only_when_it_cannot_apply(order, blas_env, warns)
         assert len(messages) == 1 and "PROTOSEG_THREADS" in messages[0]
     else:
         assert messages == []
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "abc", ""))
+def test_threads_not_a_positive_integer_fails_import(value):
+    env = {k: v for k, v in os.environ.items()
+           if k not in protoseg._BLAS_VARS}
+    env["PROTOSEG_THREADS"] = value
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, src,
+                          "protoseg-first"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.rstrip().endswith(
+        "ConfigError: PROTOSEG_THREADS must be a positive integer, got %r"
+        % value)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +333,7 @@ def test_load_network_rejects_mistyped_config_value(tmp_path):
 
 def test_evaluate_ground_truth_hook_scores_one():
     net = FewShotSegmenter(TINY)
-    scored = _score_as(net, lambda ep: ep.query_mask)
+    scored = _score_as(net, lambda ep: ep.masks[-1])
     report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
     assert report.miou == pytest.approx(1.0)
     assert report.fb_iou == pytest.approx(1.0)

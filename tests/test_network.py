@@ -117,7 +117,7 @@ def test_encode_support_union_grid():
     x_s, union = net.encode_support(ep)
     assert x_s.shape == (8, 16)
     grids = []
-    for msk in ep.support_masks:
+    for msk in ep.masks[:-1]:
         pooled = msk.reshape(4, 4, 4, 4).mean(axis=(1, 3))
         grids.append((pooled >= 0.5).astype(np.float32))
     want = np.clip(np.sum(grids, axis=0), 0.0, 1.0)
@@ -127,11 +127,9 @@ def test_encode_support_union_grid():
 def test_encode_support_empty_mask_raises_with_seed():
     net = toy_net()
     ep = sample_episode(SPLIT, "train", 1, seed=7, image_size=16)
-    empty = Episode(class_id=ep.class_id,
-                    support_images=ep.support_images,
-                    support_masks=[np.zeros((16, 16), dtype=np.float32)],
-                    query_image=ep.query_image,
-                    query_mask=ep.query_mask,
+    masks = ep.masks.copy()
+    masks[:-1] = 0.0
+    empty = Episode(class_id=ep.class_id, images=ep.images, masks=masks,
                     seed=4242)
     with pytest.raises(DegenerateEpisodeError) as err:
         net.encode_support(empty)

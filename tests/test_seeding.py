@@ -1,7 +1,9 @@
 """Derived RNG streams: stable, path-sensitive, independent."""
 
 import numpy as np
+import pytest
 
+from protoseg.errors import ConfigError
 from protoseg.seeding import derive_rng, derive_seed
 
 
@@ -29,3 +31,16 @@ def test_derive_seed_range_and_stability():
     assert s == derive_seed(123, "eval", 9)
     assert 0 <= s < 2 ** 31
     assert derive_seed(123, "eval", 10) != s
+
+
+@pytest.mark.parametrize("parts", ((2 ** 32,), (-1,), (0, "train", 2 ** 32),
+                                   (7, "eval", -1)))
+def test_integer_part_outside_32_bits_is_refused(parts):
+    # Masked to 32 bits, seed 2**32 would draw the stream of seed 0.
+    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
+        derive_rng(*parts)
+
+
+def test_32_bit_bounds_are_accepted():
+    derive_rng(0, "train", 2 ** 32 - 1)
+    assert derive_seed(2 ** 32 - 1) != derive_seed(0)
