@@ -424,7 +424,7 @@ def conv1d(x, weight, bias=None) -> Tensor:
         if bias.shape != (c_out,):
             raise DimensionError("conv1d bias shape %s is not (%d,)"
                                  % (bias.shape, c_out))
-        y = y + bias.data.reshape(c_out, 1)
+        y += bias.data.reshape(c_out, 1)
         parents.append(bias)
     out = Tensor(y)
 
@@ -476,7 +476,7 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
         if bias.shape != (c_out,):
             raise DimensionError("conv2d bias shape %s is not (%d,)"
                                  % (bias.shape, c_out))
-        y = y + bias.data.reshape(c_out, 1)
+        y += bias.data.reshape(c_out, 1)
         parents.append(bias)
     out = Tensor(y.reshape(c_out, hh, ww))
 
@@ -487,7 +487,7 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
             _accumulate(bias, g2.sum(axis=1))
         if not x.requires_grad:
             return
-        _accumulate(x, _col2im(g, weight.data, x.shape, xp.dtype, stride))
+        _accumulate(x, _col2im(g, weight.data, x.shape, x.data.dtype, stride))
 
     return _record(out, tuple(parents), backward)
 
@@ -577,15 +577,22 @@ def backward(tape: Tape, output: Tensor) -> None:
         raise UsageError("output was not recorded on the given tape")
     tape._consumed = True
     output.grad = np.ones_like(output.data)
+    nodes = tape._nodes
     # Tape order is execution order, so the reverse is a valid topological
-    # order: every consumer of a node runs before the node itself.
-    for node in reversed(tape._nodes):
-        if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
-    for node in tape._nodes:
-        node._backward = None
-        node._tape = None
-    tape._nodes.clear()
+    # order: every consumer of a node runs before the node itself. A node
+    # is released as its closure runs, so the activations, columns and
+    # gradients only it holds are freed one by one; only leaves keep .grad.
+    try:
+        while nodes:
+            node = nodes.pop()
+            g, fn = node.grad, node._backward
+            node.grad = node._backward = node._tape = None
+            if g is not None and fn is not None:
+                fn(g)
+    finally:
+        for node in nodes:
+            node.grad = node._backward = node._tape = None
+        nodes.clear()
 
 
 def grad_check(function: Callable[[], Tensor], params: Sequence[Parameter],

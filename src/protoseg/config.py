@@ -35,6 +35,8 @@ class Config:
     edge_fusion: bool = True    # edge-similarity route (needs excitation)
 
     def validate(self) -> "Config":
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name))
         if self.image_size < 16 or self.image_size % 4:
             raise ConfigError("image_size must be >= 16 and divisible by 4")
         for name in ("channels", "proto_dim", "gcn_depth", "reduction",
@@ -129,6 +131,4 @@ def config_from_dict(d: dict) -> Config:
     unknown = set(d) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
-    for key, value in d.items():
-        _check_type(key, value)
     return Config(**d).validate()

@@ -16,13 +16,16 @@ from .errors import ConfigError
 
 def derive_rng(seed: int, *path) -> np.random.Generator:
     """Child generator for (seed, path...). Strings hash via crc32. Integers
-    must lie in [0, 2**32), one entropy word each: masked into that range,
-    seed 2**32 would draw the stream of seed 0."""
+    (Python or numpy, not bool) must lie in [0, 2**32), one entropy word
+    each: masked into that range, seed 2**32 would draw the stream of seed
+    0, and truncated, seed 1.5 or True would draw the stream of seed 1."""
     entropy = []
     for part in (seed, *path):
         if isinstance(part, str):
             entropy.append(zlib.crc32(part.encode("utf-8")))
-        elif 0 <= int(part) < 2 ** 32:
+        elif not isinstance(part, (int, np.integer)) or isinstance(part, bool):
+            raise ConfigError("seed part %r is not an integer or a string" % (part,))
+        elif 0 <= part < 2 ** 32:
             entropy.append(int(part))
         else:
             raise ConfigError("seed part %d is outside [0, 2**32)" % part)

@@ -1,5 +1,7 @@
 """Engine tests: ops against naive-loop oracles, tape protocol, grad_check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,52 @@ def test_constant_branch_gets_no_grad():
     assert c.grad is None
 
 
+def assert_released(tape, recorded):
+    assert tape._consumed and len(tape) == 0
+    for node in recorded:
+        assert node.grad is None
+        assert node._backward is None and node._tape is None
+
+
+def test_backward_releases_every_recorded_node():
+    # Only leaves keep .grad: a Parameter and a caller-made tensor.
+    w = param("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = t64(np.array([[0.5], [-1.0]]))
+    with Tape() as tape:
+        h = ad.relu(ad.matmul(w, x))
+        out = ad.tensor_sum(ad.mul(h, h))
+    recorded = list(tape._nodes)
+    assert len(recorded) == 4
+    backward(tape, out)
+    assert_released(tape, recorded)
+    assert np.array_equal(w.grad, [[0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(x.grad, [[0.0], [0.0]])
+    with Tape() as tape:
+        out = ad.tensor_sum(ad.mul(ad.matmul(w, x), 2.0))
+    recorded = list(tape._nodes)
+    backward(tape, out)
+    assert_released(tape, recorded)
+    assert np.array_equal(w.grad, [[1.0, -2.0], [1.0, -2.0]])
+    assert np.array_equal(x.grad, [[8.0], [12.0]])
+
+
+def test_backward_releases_the_tape_when_a_closure_raises():
+    x = param("x", np.ones(3))
+    with Tape() as tape:
+        y = ad.mul(x, 2.0)
+        # A closure that hands y a gradient of the wrong shape.
+        bad = ad._record(Tensor(y.data.copy()), (y,),
+                         lambda g: ad._accumulate(y, np.ones(4)))
+        out = ad.tensor_sum(ad.mul(bad, bad))
+    recorded = list(tape._nodes)
+    with pytest.raises(DimensionError):
+        backward(tape, out)
+    assert_released(tape, recorded)
+    assert x.grad is None
+    with pytest.raises(UsageError):
+        backward(tape, out)
+
+
 # ---------------------------------------------------------------------------
 # per-op gradient checks
 
@@ -322,6 +370,27 @@ def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
         grads[x_grad] = (w.grad.copy(), b.grad.copy())
     for with_x, without_x in zip(grads[True], grads[False]):
         assert np.array_equal(with_x, without_x)
+
+
+def test_recorded_conv2d_keeps_columns_and_output_but_no_padded_input():
+    # Backward needs the columns (weight gradient) and the output (the
+    # tape), not the zero-padded copy of x they were cut from.
+    rng = np.random.default_rng(5)
+    x = t64(rng.normal(size=(8, 32, 32)))
+    w = param("w", rng.normal(size=(4, 8, 3, 3)))
+    b = param("b", rng.normal(size=4))
+    cols_bytes = (8 * 3 * 3) * (32 * 32) * 8
+    out_bytes = 4 * 32 * 32 * 8
+    padded_bytes = 8 * 34 * 34 * 8
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = ad.conv2d(x, w, b)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes == out_bytes and len(tape) == 1
+    assert cols_bytes + out_bytes <= kept < cols_bytes + out_bytes + padded_bytes // 2
 
 
 # Every conv2d shape of a desk training episode, then strides and extents

@@ -115,6 +115,21 @@ def test_config_from_dict_rejects_wrong_type(key, value):
     assert repr(key) in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5),                # would draw seed 1's streams
+    ("seed", True),
+    ("edge_fusion", 1),
+    ("momentum", "0.5"),
+])
+def test_validate_rejects_wrong_type(key, value):
+    # A Config built in Python passes the same type check as a dict.
+    with pytest.raises(ConfigError) as err:
+        Config(**{key: value}).validate()
+    assert repr(key) in str(err.value)
+    with pytest.raises(ConfigError):
+        Config().with_overrides(**{key: value})
+
+
 def test_config_from_dict_float_accepts_int():
     cfg = config_from_dict({"learning_rate": 1, "momentum": 0.5})
     assert cfg.learning_rate == 1 and cfg.momentum == 0.5

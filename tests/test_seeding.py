@@ -44,3 +44,20 @@ def test_integer_part_outside_32_bits_is_refused(parts):
 def test_32_bit_bounds_are_accepted():
     derive_rng(0, "train", 2 ** 32 - 1)
     assert derive_seed(2 ** 32 - 1) != derive_seed(0)
+
+
+@pytest.mark.parametrize("parts", ((1.5,), (True,), (np.float64(1.0),),
+                                   (np.bool_(True),), (0, "train", 2.0),
+                                   (7, "eval", False)))
+def test_float_and_bool_parts_are_refused(parts):
+    # int() would truncate them: seed 1.5 and True would draw seed 1's stream.
+    with pytest.raises(ConfigError, match="is not an integer or a string"):
+        derive_rng(*parts)
+
+
+def test_numpy_integer_parts_draw_the_python_integer_stream():
+    for part in (np.int64(7), np.uint32(7), np.int8(7)):
+        assert np.array_equal(derive_rng(part, "train", part).random(4),
+                              derive_rng(7, "train", 7).random(4))
+    with pytest.raises(ConfigError, match="outside"):
+        derive_rng(np.int64(-1))
