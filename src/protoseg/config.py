@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from .encoder import STRIDE
 from .errors import ConfigError
 
 
@@ -37,8 +38,9 @@ class Config:
     def validate(self) -> "Config":
         for f in fields(self):
             _check_type(f.name, getattr(self, f.name))
-        if self.image_size < 16 or self.image_size % 4:
-            raise ConfigError("image_size must be >= 16 and divisible by 4")
+        if self.image_size < 16 or self.image_size % STRIDE:
+            raise ConfigError("image_size must be >= 16 and divisible by %d"
+                              % STRIDE)
         for name in ("channels", "proto_dim", "gcn_depth", "reduction",
                      "encoder_width", "encoder_depth", "k_shot", "epochs",
                      "episodes_per_epoch"):
@@ -112,14 +114,21 @@ def load_config(path) -> Config:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Reject a value that is not an int (bool, a subclass, is refused too)
+    or is below `least`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("%s: %r is not an integer" % (name, value))
+    if least is not None and value < least:
+        raise ConfigError("%s must be >= %d, got %d" % (name, least, value))
+
+
 def _check_type(key: str, value) -> None:
-    # bool is a subclass of int, so it is refused explicitly for numbers.
     ftype = _FIELD_TYPES[key]
+    if ftype == "int":
+        return check_int("key %r" % key, value)
     if ftype == "bool":
         ok, want = isinstance(value, bool), "a boolean"
-    elif ftype == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        want = "an integer"
     else:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         want = "a number"

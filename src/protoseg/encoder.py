@@ -1,9 +1,9 @@
 """Shared convolutional feature extractor and feature/descriptor utilities.
 
 Feature maps are rank-3 tensors (c, h, w). Descriptors are the same data
-flattened to a (c, l) tensor with l = h * w in row-major order; the modules
-that read them know their (h, w) grid from construction, so the flattening
-is invertible bit for bit.
+flattened to a (c, l) tensor with l = h * w in row-major order. The model's
+grid is square, `image_size // STRIDE` on a side, and the modules that read
+descriptors know it from construction, so the flattening is exact.
 """
 
 from __future__ import annotations
@@ -25,18 +25,21 @@ def to_descriptors(fmap: Tensor) -> Tensor:
     return ad.reshape(fmap, c, h * w)
 
 
-def from_descriptors(x: Tensor, height: int, width: int) -> Tensor:
-    """Inverse of to_descriptors; exact round-trip."""
+def from_descriptors(x: Tensor, grid: int) -> Tensor:
+    """Inverse of to_descriptors onto a grid x grid map; exact round-trip."""
     if x.data.ndim != 2:
         raise DimensionError("descriptor set must be (c, l), got %s" % (x.shape,))
-    if x.shape[1] != height * width:
+    if x.shape[1] != grid * grid:
         raise DimensionError("descriptor count %d does not tile a %dx%d grid"
-                             % (x.shape[1], height, width))
-    return ad.reshape(x, x.shape[0], height, width)
+                             % (x.shape[1], grid, grid))
+    return ad.reshape(x, x.shape[0], grid, grid)
+
+
+STRIDE = 4  # blocks 1 and 3 stride by 2: one feature cell per 4x4 pixels
 
 
 class Encoder(Module):
-    """Stack of 3x3 conv+relu blocks; blocks 2 and 4 use stride 2 (total /4)."""
+    """Stack of 3x3 conv+relu blocks; blocks 1 and 3 use stride 2."""
 
     def __init__(self, in_channels: int, out_channels: int, width: int,
                  depth: int, seed: int, dtype=np.float32):
@@ -45,8 +48,6 @@ class Encoder(Module):
                               "blocks exist, got %d" % depth)
         super().__init__(seed, dtype)
         self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.depth = depth
         # (weight, bias, stride) per block
         self.blocks: list[tuple[Parameter, Parameter, int]] = []
         c_prev = in_channels
@@ -59,13 +60,13 @@ class Encoder(Module):
             c_prev = c_next
 
     def __call__(self, image: np.ndarray) -> Tensor:
-        """(3, H, W) image -> (c, H/4, W/4) feature map."""
+        """(3, H, W) image -> (c, H/STRIDE, W/STRIDE) feature map."""
         if image.ndim != 3 or image.shape[0] != self.in_channels:
             raise DimensionError("encoder expects (%d, H, W), got %s"
                                  % (self.in_channels, image.shape))
-        if image.shape[1] % 4 or image.shape[2] % 4:
-            raise DimensionError("encoder input extents must be divisible by 4, "
-                                 "got %s" % (image.shape,))
+        if image.shape[1] % STRIDE or image.shape[2] % STRIDE:
+            raise DimensionError("encoder input extents must be divisible by "
+                                 "%d, got %s" % (STRIDE, image.shape))
         x = image
         for w, b, s in self.blocks:
             x = ad.relu(ad.conv2d(x, w, b, stride=s))
@@ -83,19 +84,15 @@ def check_binary(x, what: str) -> np.ndarray:
     return arr
 
 
-def mask_to_feature_grid(mask: np.ndarray, height: int,
-                         width: int) -> np.ndarray:
-    """Downsample a binary (H, W) mask to (h, w) by mean pooling, then
+def mask_to_feature_grid(mask: np.ndarray, grid: int) -> np.ndarray:
+    """Downsample a binary (S, S) mask to (grid, grid) by mean pooling, then
     re-binarize at 0.5 with ties rounding up."""
-    if mask.ndim != 2:
-        raise DimensionError("mask must be (H, W), got %s" % (mask.shape,))
-    big_h, big_w = mask.shape
-    if big_h % height or big_w % width:
-        raise DimensionError("mask %s does not pool evenly onto a %dx%d grid"
-                             % ((big_h, big_w), height, width))
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or len(mask) % grid:
+        raise DimensionError("mask %s is not square or does not pool evenly "
+                             "onto a %dx%d grid" % (mask.shape, grid, grid))
     check_binary(mask, "mask")
-    fh, fw = big_h // height, big_w // width
-    pooled = mask.reshape(height, fh, width, fw).mean(axis=(1, 3))
+    cell = len(mask) // grid
+    pooled = mask.reshape(grid, cell, grid, cell).mean(axis=(1, 3))
     return (pooled >= 0.5).astype(mask.dtype)
 
 

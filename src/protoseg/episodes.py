@@ -20,7 +20,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .bilinear import bilinear_matrix
-from .encoder import mask_to_feature_grid
+from .config import check_int
+from .encoder import STRIDE, mask_to_feature_grid
 from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
                      UsageError)
 from .seeding import derive_rng
@@ -89,7 +90,7 @@ def default_classes() -> tuple[DefectClass, ...]:
         rng = derive_rng(_CLASS_TABLE_SEED, "class", cid)
         family = families[cid % 3]
         # Two sizing constraints. Lower bound: the head predicts on a grid
-        # downsampled 4x, and a feature thinner than one grid cell gets mixed
+        # STRIDE times coarser, and a feature thinner than one cell gets mixed
         # supervision in its cell, capping the cell's optimum below the 0.5
         # binarization threshold; every family is therefore drawn at least
         # one cell wide. Upper bound: the smallest legal warp keeps the
@@ -208,8 +209,8 @@ def _draw_scratch(rng, size: int, style: Mapping) -> np.ndarray:
 
 def _draw_patch(rng, size: int, style: Mapping) -> np.ndarray:
     center = rng.uniform(0.3, 0.7, size=2) * size
-    # The floor keeps small renders (toy 16x16 images) visible on the 4x4-px
-    # pooling windows of the quarter-resolution feature grid.
+    # The floor keeps small renders (toy 16x16 images) visible on the
+    # STRIDE x STRIDE pooling windows of the feature grid.
     radius = max(style["radius"] * size * rng.uniform(0.85, 1.15), 3.0)
     amps = rng.normal(0.0, style["rough"], size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
@@ -363,11 +364,11 @@ def _check_request(role: str, k: int, image_size: int) -> None:
     """Reject a role, shot count or image size no episode can have."""
     if role not in ("train", "test"):
         raise ConfigError("role must be 'train' or 'test', got %r" % role)
-    if k < 1:
-        raise ConfigError("k must be >= 1, got %d" % k)
-    if image_size < 4 or image_size % 4:
-        raise ConfigError("image_size must be a positive multiple of 4, got %d"
-                          % image_size)
+    check_int("k", k, 1)
+    check_int("image_size", image_size, STRIDE)
+    if image_size % STRIDE:
+        raise ConfigError("image_size must be a multiple of %d, got %d"
+                          % (STRIDE, image_size))
 
 
 @functools.cache
@@ -391,10 +392,15 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     if ahead is not None:
         return ahead.take(split, role, k, seed, image_size)
     _check_request(role, k, image_size)
-    run = np.empty((k + 1) * 4 * image_size * image_size, np.float32)
+    run = np.empty(_run_length(k, image_size), np.float32)
     images, masks = _episode_views(run, k, image_size)
     class_id = _render(images, masks, split, role, seed)
     return Episode(class_id, images, masks, seed)
+
+
+def _run_length(k: int, image_size: int) -> int:
+    """Floats in an episode's run: K+1 3-channel images, then K+1 masks."""
+    return (k + 1) * 4 * image_size * image_size
 
 
 def _episode_views(run: np.ndarray, k: int, image_size: int
@@ -416,7 +422,7 @@ def _render(images: np.ndarray, masks: np.ndarray, split: FoldSplit,
         if cid not in table:
             raise ConfigError("fold references unknown class id %d" % cid)
     k, image_size = len(images) - 1, images.shape[-1]
-    grid_size = image_size // 4
+    grid = image_size // STRIDE
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
     for index in range(k + 1):
@@ -432,7 +438,7 @@ def _render(images: np.ndarray, masks: np.ndarray, split: FoldSplit,
                                                 cls.perspective_max)))
             sample_seed = int(rng.integers(2 ** 31))
             img, mask = generate_sample(cls, sub, dist, sample_seed, image_size)
-            if mask_to_feature_grid(mask, grid_size, grid_size).any():
+            if mask_to_feature_grid(mask, grid).any():
                 images[index], masks[index] = img, mask
                 break
             log.info("episode %d: resampling %s %d (empty feature grid, "
@@ -478,13 +484,10 @@ class EpisodeStream:
         self._request = (split, role, k, image_size)
         self._seeds = list(seeds)
         self._taken = 0
-        # K+1 images of three channels, then K+1 masks.
-        slot_floats = (k + 1) * 4 * image_size * image_size
         # Mapped before the fork, so the worker writes the pages the caller
         # reads.
-        self._map = mmap.mmap(-1, _SLOTS * slot_floats * 4)
-        self._slab = np.frombuffer(self._map, np.float32).reshape(
-            _SLOTS, slot_floats)
+        self._map = mmap.mmap(-1, _SLOTS * _run_length(k, image_size) * 4)
+        self._slab = np.frombuffer(self._map, np.float32).reshape(_SLOTS, -1)
         ctx = multiprocessing.get_context("fork")
         self._conn, worker_end = ctx.Pipe()
         self._worker = ctx.Process(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
-from .encoder import check_binary, from_descriptors
+from .encoder import check_binary, from_descriptors, to_descriptors
 from .errors import ConfigError, DegenerateEpisodeError, DimensionError
 from .reasoning import COSINE_EPS, NORM_SQ_EPS
 
@@ -60,9 +60,9 @@ def edge_similarity(x_q: Tensor, x_s: Tensor) -> Tensor:
 
 class FeatureExcitation(Module):
     """Channel + spatial attention over guided (c, l) query descriptors of a
-    fixed grid_h x grid_w grid, with an optional global-edge fusion route."""
+    fixed grid x grid map, with an optional global-edge fusion route."""
 
-    def __init__(self, channels: int, reduction: int, grid_h: int, grid_w: int,
+    def __init__(self, channels: int, reduction: int, grid: int,
                  edge_fusion: bool, seed: int, dtype=np.float32):
         if channels % reduction:
             raise ConfigError("channels (%d) must divide by the reduction "
@@ -70,7 +70,7 @@ class FeatureExcitation(Module):
         super().__init__(seed, dtype)
         self.channels = channels
         self.hidden = channels // reduction
-        self.grid_h, self.grid_w = grid_h, grid_w
+        self.grid = grid
         self.edge_fusion = edge_fusion
 
         k = SPATIAL_KERNEL
@@ -82,7 +82,7 @@ class FeatureExcitation(Module):
         self.spatial_b = self.zeros("excitation.spatial.bias", (1,))
         if edge_fusion:
             self.fuse_w = self.he_weight("excitation.fuse_edges",
-                                         (channels, channels + grid_h * grid_w, 1))
+                                         (channels, channels + grid * grid, 1))
             self.fuse_b = self.zeros("excitation.fuse_edges.bias", (channels,))
 
     def channel_attention(self, p: Tensor) -> Tensor:
@@ -98,17 +98,16 @@ class FeatureExcitation(Module):
 
     def spatial_attention(self, p: Tensor) -> Tensor:
         """Single-channel conv gate over the (h, w) layout of p."""
-        grid = from_descriptors(p, self.grid_h, self.grid_w)
-        gate = ad.sigmoid(ad.conv2d(grid, self.spatial_w, self.spatial_b))
-        return ad.reshape(ad.mul(grid, gate), self.channels,
-                          self.grid_h * self.grid_w)
+        fmap = from_descriptors(p, self.grid)
+        gate = ad.sigmoid(ad.conv2d(fmap, self.spatial_w, self.spatial_b))
+        return to_descriptors(ad.mul(fmap, gate))
 
     def fuse_edges(self, p_e: Tensor, d: Tensor) -> Tensor:
         """Concatenate the edge field below the excited descriptors and mix
         back down to c channels with a pointwise conv."""
         if not self.edge_fusion:
             raise ConfigError("edge fusion route was disabled at construction")
-        if d.shape != (self.grid_h * self.grid_w, p_e.shape[1]):
+        if d.shape != (self.grid * self.grid, p_e.shape[1]):
             raise DimensionError("edge field %s does not match descriptors %s"
                                  % (d.shape, p_e.shape))
         stacked = ad.concat([p_e, d], axis=0)

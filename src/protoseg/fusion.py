@@ -14,13 +14,13 @@ from .errors import DimensionError, ValidationError
 CLAMP_EPS = 1e-7
 
 
-def binarize(probabilities: Tensor, threshold: float = 0.5) -> np.ndarray:
-    """Threshold probabilities; ties go to foreground."""
+def binarize(probabilities: Tensor) -> np.ndarray:
+    """Threshold probabilities at 0.5; ties go to foreground."""
     p = probabilities.data
     # Written so that NaN, which fails every comparison, fails it too.
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValidationError("probabilities must be finite and lie in [0, 1]")
-    return (p >= threshold).astype(p.dtype)
+    return (p >= 0.5).astype(p.dtype)
 
 
 def bce_loss(probabilities: Tensor, target: np.ndarray) -> Tensor:
@@ -42,12 +42,11 @@ class FusionHead(Module):
     """Two residual 3x3 blocks over the concatenated branches, a pointwise
     classifier, and bilinear upsampling back to image resolution."""
 
-    def __init__(self, channels: int, grid_h: int, grid_w: int,
-                 out_h: int, out_w: int, seed: int, dtype=np.float32):
+    def __init__(self, channels: int, grid: int, size: int, seed: int,
+                 dtype=np.float32):
         super().__init__(seed, dtype)
         self.channels = channels
-        self.grid_h, self.grid_w = grid_h, grid_w
-        self.out_h, self.out_w = out_h, out_w
+        self.grid = grid
         c2 = 2 * channels
         self.convs: list[tuple[Parameter, Parameter]] = []
         for i in range(4):  # two blocks, two convs each
@@ -61,25 +60,24 @@ class FusionHead(Module):
         # the first loss is ln 2 and no seed starts saturated.
         self.cls_w = self.zeros("fusion.cls.weight", (1, c2, 1, 1))
         self.cls_b = self.zeros("fusion.cls.bias", (1,))
-        self.rows = bilinear_matrix(out_h, grid_h, dtype)
-        self.cols_t = bilinear_matrix(out_w, grid_w, dtype).T.copy()
+        self.rows = bilinear_matrix(size, grid, dtype)
+        self.cols_t = self.rows.T.copy()
 
     def __call__(self, main: Tensor, aux: Tensor) -> Tensor:
-        """Two (c, l) branches -> (out_h, out_w) foreground probabilities."""
-        if main.shape != aux.shape or main.shape != (self.channels,
-                                                     self.grid_h * self.grid_w):
+        """Two (c, l) branches -> (size, size) foreground probabilities."""
+        cells = self.grid * self.grid
+        if main.shape != aux.shape or main.shape != (self.channels, cells):
             raise DimensionError("branch shapes %s / %s do not match head "
                                  "geometry (c=%d, l=%d)"
-                                 % (main.shape, aux.shape, self.channels,
-                                    self.grid_h * self.grid_w))
+                                 % (main.shape, aux.shape, self.channels, cells))
         x = ad.reshape(ad.concat([main, aux], axis=0),
-                       2 * self.channels, self.grid_h, self.grid_w)
+                       2 * self.channels, self.grid, self.grid)
         for i in (0, 2):
             wa, ba = self.convs[i]
             wb, bb = self.convs[i + 1]
             inner = ad.conv2d(ad.relu(ad.conv2d(x, wa, ba)), wb, bb)
             x = ad.add(x, inner)
         logits_grid = ad.conv2d(x, self.cls_w, self.cls_b)
-        logits_grid = ad.reshape(logits_grid, self.grid_h, self.grid_w)
+        logits_grid = ad.reshape(logits_grid, self.grid, self.grid)
         logits = ad.matmul(ad.matmul(self.rows, logits_grid), self.cols_t)
         return ad.sigmoid(logits)

@@ -13,10 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
-from .config import Config, config_from_dict
+from .config import Config, check_int, config_from_dict
 from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
                        sample_episode)
-from .errors import ConfigError, FormatError, TrainingError, ValidationError
+from .errors import (ConfigError, DimensionError, FormatError, TrainingError,
+                     ValidationError)
 from .fusion import bce_loss, binarize
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
@@ -87,7 +88,7 @@ def save_checkpoint(path, net: FewShotSegmenter, epoch: int,
     return path
 
 
-def load_network(path, dtype=np.float32) -> tuple[FewShotSegmenter, dict]:
+def load_network(path) -> tuple[FewShotSegmenter, dict]:
     header, arrays = read_checkpoint(path)
     for key, want in (("format", CHECKPOINT_FORMAT),
                       ("version", CHECKPOINT_VERSION)):
@@ -99,9 +100,11 @@ def load_network(path, dtype=np.float32) -> tuple[FewShotSegmenter, dict]:
     epoch = header.get("epoch")
     if type(epoch) is not int or epoch < 0:  # bool is an int subclass
         raise FormatError("epoch: header field missing or not a non-negative integer")
-    config = config_from_dict(header["config"])
-    net = FewShotSegmenter(config, dtype)
-    net.load_parameter_arrays(arrays)
+    net = FewShotSegmenter(config_from_dict(header["config"]))
+    try:
+        net.load_parameter_arrays(arrays)
+    except DimensionError as e:  # tensors that do not fit the header's config
+        raise FormatError("parameters: %s" % e) from e
     return net, header
 
 
@@ -114,7 +117,6 @@ class TrainResult:
     network: FewShotSegmenter
     losses: list[float]            # one entry per training episode, in order
     checkpoints: list[Path]
-    split: FoldSplit
 
 
 def train(config: Config, out_dir=None,
@@ -162,8 +164,7 @@ def train(config: Config, out_dir=None,
                 checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
             if progress is not None:
                 progress(epoch, float(np.mean(epoch_losses)))
-    return TrainResult(network=net, losses=losses, checkpoints=checkpoints,
-                       split=split)
+    return TrainResult(network=net, losses=losses, checkpoints=checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,14 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
     cfg = net.config
     if fold is None:
         fold = cfg.fold
+    check_int("fold", fold)
     if fold != cfg.fold:
         raise ConfigError(
             "these weights held out fold %d; evaluating fold %d would mix "
             "training classes into the test set" % (cfg.fold, fold))
     if k is None:
         k = cfg.k_shot
-    if episodes < 1:
-        raise ConfigError("episodes must be >= 1")
+    check_int("episodes", episodes, 1)
     eval_seed = cfg.seed if seed is None else seed
     split = default_split(cfg)
     per_class: dict[int, list[float]] = defaultdict(list)
@@ -231,8 +232,7 @@ def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
     """Train and evaluate the six branch-toggle combinations under shared
     seeds, fold split, and episode streams."""
     config.validate()
-    if eval_episodes < 1:
-        raise ConfigError("eval_episodes must be >= 1")
+    check_int("eval_episodes", eval_episodes, 1)
     rows = []
     for label, toggles in ABLATION_ROWS:
         row_config = config.with_overrides(**toggles)
@@ -295,9 +295,9 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         rng = derive_rng(toy.seed, "gradcheck", "weights", i)
         p.data = rng.normal(0.0, 0.1, size=p.shape)
     split = default_split(toy)
-    episode = sample_episode(split, "train", 1,
-                             derive_seed(toy.seed, "gradcheck-episode"), 16)
-    grid = net.grid_size
+    ep_seed = derive_seed(toy.seed, "gradcheck-episode")
+    episode = sample_episode(split, "train", 1, ep_seed, toy.image_size)
+    grid = net.grid
     results: dict[str, float] = {}
 
     image = episode.images[-1].astype(np.float64)
@@ -337,7 +337,7 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
     main = _random_descriptors(toy.channels, grid, toy.seed, "main")
     aux = _random_descriptors(toy.channels, grid, toy.seed, "aux")
     target = (derive_rng(toy.seed, "gradcheck", "target")
-              .random((16, 16)) < 0.3).astype(np.float64)
+              .random((toy.image_size,) * 2) < 0.3).astype(np.float64)
     results["fusion"] = grad_check(
         lambda: bce_loss(net.head(main, aux), target),
         net.head.parameters(), eps=eps,

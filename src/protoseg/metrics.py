@@ -39,9 +39,6 @@ def fb_iou(pred, target) -> float:
     """Mean of the foreground IoU and the background IoU."""
     p = _as_binary(pred, "prediction")
     t = _as_binary(target, "target")
-    if p.shape != t.shape:
-        raise DimensionError("prediction %s and target %s differ"
-                             % (p.shape, t.shape))
     return 0.5 * (iou(p, t) + iou(~p, ~t))
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .config import Config
-from .encoder import (Encoder, apply_mask, kshot_average, mask_to_feature_grid,
-                      to_descriptors)
+from .encoder import (STRIDE, Encoder, apply_mask, kshot_average,
+                      mask_to_feature_grid, to_descriptors)
 from .episodes import Episode
 from .errors import DegenerateEpisodeError, DimensionError
 from .excitation import FeatureExcitation
@@ -27,18 +27,18 @@ class FewShotSegmenter:
         config.validate()
         self.config = config
         self.dtype = dtype
-        self.grid_size = g = config.image_size // 4
+        self.grid = g = config.image_size // STRIDE
         seed = config.seed
         self.encoder = Encoder(3, config.channels, config.encoder_width,
                                config.encoder_depth, seed, dtype)
         self.reasoning = (GraphReasoning(config.channels, config.proto_dim,
-                                         config.gcn_depth, g, g, seed, dtype)
+                                         config.gcn_depth, g, seed, dtype)
                           if config.graph_reasoning else None)
         self.excitation = (FeatureExcitation(config.channels, config.reduction,
-                                             g, g, config.edge_fusion, seed, dtype)
+                                             g, config.edge_fusion, seed, dtype)
                            if config.excitation else None)
-        self.head = FusionHead(config.channels, g, g, config.image_size,
-                               config.image_size, seed, dtype)
+        self.head = FusionHead(config.channels, g, config.image_size, seed,
+                               dtype)
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -92,7 +92,7 @@ class FewShotSegmenter:
         for img, msk in zip(episode.images[:-1], episode.masks[:-1]):
             fmap = self.encoder(img.astype(self.dtype, copy=False))
             grid = mask_to_feature_grid(msk.astype(self.dtype, copy=False),
-                                        self.grid_size, self.grid_size)
+                                        self.grid)
             masked.append(apply_mask(fmap, grid))
             grids.append(grid)
         union = np.clip(np.sum(grids, axis=0), 0.0, 1.0).astype(self.dtype)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
-from .encoder import from_descriptors
+from .encoder import from_descriptors, to_descriptors
 from .errors import ConfigError, DimensionError, ValidationError
 
 STANDARDIZE_EPS = 1e-5
@@ -76,18 +76,17 @@ def gcn_forward(h: Tensor, lap: Tensor, thetas: list[Tensor]) -> Tensor:
 
 class GraphReasoning(Module):
     """Parameterized branch over (c, l) descriptors of a fixed
-    grid_h x grid_w grid: project, relate, propagate, reflect."""
+    grid x grid map: project, relate, propagate, reflect."""
 
     def __init__(self, channels: int, proto_dim: int, gcn_depth: int,
-                 grid_h: int, grid_w: int, seed: int, dtype=np.float32):
+                 grid: int, seed: int, dtype=np.float32):
         if proto_dim < 2:
             raise ConfigError("proto_dim must be >= 2, got %d" % proto_dim)
         if gcn_depth < 1:
             raise ConfigError("gcn_depth must be >= 1, got %d" % gcn_depth)
         super().__init__(seed, dtype)
         self.channels = channels
-        self.proto_dim = proto_dim
-        self.grid_h, self.grid_w = grid_h, grid_w
+        self.grid = grid
         c, r = channels, proto_dim
         self.node_w = self.he_weight("reasoning.project_node", (r, c, 1))
         self.node_b = self.zeros("reasoning.project_node.bias", (r,))
@@ -102,10 +101,10 @@ class GraphReasoning(Module):
 
     def project(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """(c, l) descriptors -> (node, channel) prototype sets, each (r, l)."""
-        if x.shape != (self.channels, self.grid_h * self.grid_w):
+        if x.shape != (self.channels, self.grid * self.grid):
             raise DimensionError("descriptors %s do not match branch geometry "
                                  "(c=%d, l=%d)" % (x.shape, self.channels,
-                                                   self.grid_h * self.grid_w))
+                                                   self.grid * self.grid))
         return (ad.conv1d(x, self.node_w, self.node_b),
                 ad.conv1d(x, self.channel_w, self.channel_b))
 
@@ -124,15 +123,13 @@ class GraphReasoning(Module):
         """Re-weight query prototypes by the refined relations, map back to
         c channels, standardize per channel, add onto the query descriptors."""
         weighted = ad.matmul(relations, query_node)            # (r, l)
-        grid = from_descriptors(weighted, self.grid_h, self.grid_w)
-        mapped = ad.conv2d(grid, self.reflect_w, self.reflect_b)
+        fmap = from_descriptors(weighted, self.grid)
+        mapped = ad.conv2d(fmap, self.reflect_w, self.reflect_b)
         mu = ad.tensor_mean(mapped, axis=(1, 2), keepdims=True)
         centered = ad.add(mapped, ad.mul(mu, -1.0))
         var = ad.tensor_mean(ad.mul(centered, centered), axis=(1, 2), keepdims=True)
         standardized = ad.mul(centered, ad.power(ad.add(var, STANDARDIZE_EPS), -0.5))
-        flat = ad.reshape(standardized, self.channels,
-                          self.grid_h * self.grid_w)
-        return ad.add(x_q, flat)
+        return ad.add(x_q, to_descriptors(standardized))
 
     def __call__(self, x_s: Tensor, x_q: Tensor) -> Tensor:
         support = self.project(x_s)

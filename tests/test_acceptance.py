@@ -184,15 +184,15 @@ def test_structural_suite():
     c, r, side = 8, 4, 4
 
     # reflect residual identity: zero relations leave the query untouched
-    branch = GraphReasoning(channels=c, proto_dim=r, gcn_depth=2, grid_h=side,
-                            grid_w=side, seed=3, dtype=np.float64)
+    branch = GraphReasoning(channels=c, proto_dim=r, gcn_depth=2, grid=side,
+                            seed=3, dtype=np.float64)
     x_q = Tensor(rng.normal(size=(c, side * side)))
     query_node = Tensor(rng.normal(size=(r, side * side)))
     out = branch.reflect(Tensor(np.zeros((r, r))), query_node, x_q)
     assert np.array_equal(out.data, x_q.data)
 
     # zero attention weights halve the input exactly (sigmoid(0) gate)
-    exc = FeatureExcitation(channels=c, reduction=4, grid_h=side, grid_w=side,
+    exc = FeatureExcitation(channels=c, reduction=4, grid=side,
                             edge_fusion=True, seed=5, dtype=np.float64)
     for p in exc.parameters():
         p.data[...] = 0.0
@@ -221,7 +221,7 @@ def test_structural_suite():
 
     # descriptor flattening round-trips bit-exact
     dset = to_descriptors(f)
-    back = from_descriptors(dset, side, side)
+    back = from_descriptors(dset, side)
     assert np.array_equal(back.data, f.data)
     _report("structural suite",
             "reflect identity, attention halving, fuse projection, k-shot "

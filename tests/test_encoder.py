@@ -52,10 +52,10 @@ def test_encoder_extra_depth_keeps_geometry():
 
 def test_descriptor_round_trip_bit_exact():
     rng = np.random.default_rng(3)
-    fmap = Tensor(rng.normal(size=(5, 4, 6)).astype(np.float32))
+    fmap = Tensor(rng.normal(size=(5, 6, 6)).astype(np.float32))
     ds = to_descriptors(fmap)
-    assert ds.shape == (5, 24)
-    back = from_descriptors(ds, 4, 6)
+    assert ds.shape == (5, 36)
+    back = from_descriptors(ds, 6)
     assert back.data.dtype == fmap.data.dtype
     assert np.array_equal(back.data, fmap.data)
 
@@ -86,18 +86,24 @@ def test_mask_to_feature_grid_majority_pool():
     mask[0:4, 0:4] = 1.0          # cell (0,0) fully on
     mask[0:2, 4:8] = 1.0          # cell (0,1) exactly half: ties go up
     mask[4, 0] = 1.0              # cell (1,0) 1/16 on
-    grid = mask_to_feature_grid(mask, 2, 2)
+    grid = mask_to_feature_grid(mask, 2)
     assert np.array_equal(grid, np.array([[1, 1], [0, 0]], dtype=np.float32))
 
 
 def test_mask_grid_rejects_indivisible():
     with pytest.raises(DimensionError):
-        mask_to_feature_grid(np.zeros((9, 8), dtype=np.float32), 2, 2)
+        mask_to_feature_grid(np.zeros((9, 8), dtype=np.float32), 2)
+
+
+def test_mask_grid_rejects_non_square():
+    # Both sides divide by the grid, but the feature grid is square.
+    with pytest.raises(DimensionError):
+        mask_to_feature_grid(np.zeros((8, 4), dtype=np.float32), 2)
 
 
 def test_mask_grid_rejects_non_binary():
     with pytest.raises(ValidationError):
-        mask_to_feature_grid(np.full((8, 8), 0.3, dtype=np.float32), 2, 2)
+        mask_to_feature_grid(np.full((8, 8), 0.3, dtype=np.float32), 2)
 
 
 def test_apply_mask_zeroes_background():

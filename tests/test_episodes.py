@@ -239,6 +239,19 @@ def test_episode_validation():
         sample_episode(SPLIT, "train", 1, 0, 0)
 
 
+@pytest.mark.parametrize("name, k, size", [
+    ("k", 2.0, 32), ("k", True, 32), ("image_size", 1, 32.0),
+    ("image_size", 1, True),
+])
+def test_shot_count_and_size_must_be_integers(name, k, size):
+    # k=True would otherwise run K=1, and 2.0 or 32.0 fail inside numpy.
+    with pytest.raises(ConfigError, match="^%s: " % name):
+        sample_episode(SPLIT, "train", k, 0, size)
+    with pytest.raises(ConfigError, match="^%s: " % name):
+        EpisodeStream(SPLIT, "train", k, [0], size)
+    assert not multiprocessing.active_children()
+
+
 # Every episode the golden set renders, hashed in order. Rendering must stay
 # bit-identical: a change to it changes training trajectories and every
 # reported number, so this digest only changes together with them.

@@ -10,22 +10,13 @@ from protoseg.errors import (ConfigError, DegenerateEpisodeError,
 from protoseg.excitation import (FeatureExcitation, edge_similarity, guide,
                                  masked_avg_pool)
 
+from oracles import naive_edge_cosine, naive_masked_pool
+
 
 def rand_ds(channels, h, w, seed, dtype=np.float64, grad=False):
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(size=(channels, h * w)).astype(dtype),
                   requires_grad=grad)
-
-
-def naive_masked_pool(x, grid):
-    c, l = x.shape
-    flat = grid.reshape(-1)
-    acc = np.zeros(c)
-    for i in range(c):
-        for j in range(l):
-            if flat[j] == 1.0:
-                acc[i] += x[i, j]
-    return (acc / flat.sum()).reshape(c, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +74,12 @@ def test_guide_broadcasts_channelwise():
 # edge field
 
 
-def naive_edge(xq, xs):
-    lq, ls = xq.shape[1], xs.shape[1]
-    out = np.zeros((lq, ls))
-    for i in range(lq):
-        for j in range(ls):
-            d = np.linalg.norm(xq[:, i]) * np.linalg.norm(xs[:, j])
-            out[i, j] = xq[:, i] @ xs[:, j] / d if d > 0 else 0.0
-    return out
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_edge_similarity_matches_naive(seed):
     xq = rand_ds(4, 2, 3, 600 + seed)
     xs = rand_ds(4, 2, 2, 700 + seed)
     got = edge_similarity(xq, xs).data
-    want = naive_edge(xq.data, xs.data)
+    want = naive_edge_cosine(xq.data, xs.data)
     assert got.shape == (6, 4)
     assert np.abs(got - want).max() < 1e-7
 
@@ -123,7 +104,7 @@ def test_edge_similarity_rejects_channel_mismatch():
 
 
 def make_branch(channels=8, reduction=4, grid=4, edges=True, seed=0):
-    return FeatureExcitation(channels, reduction, grid, grid, edges, seed,
+    return FeatureExcitation(channels, reduction, grid, edges, seed,
                              dtype=np.float64)
 
 

@@ -132,7 +132,7 @@ def test_bce_gradient():
 
 
 def make_head(channels=4, grid=3, out=12, seed=0):
-    return FusionHead(channels, grid, grid, out, out, seed, dtype=np.float64)
+    return FusionHead(channels, grid, out, seed, dtype=np.float64)
 
 
 def rand_branch(channels, count, seed):

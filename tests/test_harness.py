@@ -319,6 +319,22 @@ def test_load_network_rejects_bad_epoch(tmp_path, epoch):
     assert str(err.value).startswith("epoch:")
 
 
+@pytest.mark.parametrize("change, detail", [
+    (dict(channels=12), "'encoder.block3.weight' shape (8, 4, 3, 3) does not "
+                        "match (12, 4, 3, 3)"),
+    (dict(edge_fusion=False), "parameter sets differ"),
+])
+def test_load_network_rejects_tensors_off_the_header_config(tmp_path, change,
+                                                            detail):
+    # A valid config whose network has other parameters than the records.
+    path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
+    _edit_header(path, lambda header: header["config"].update(change))
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value).startswith("parameters: ")
+    assert detail in str(err.value)
+
+
 def test_load_network_rejects_mistyped_config_value(tmp_path):
     path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
     _edit_header(path, lambda header: header["config"].update(channels="8"))
@@ -375,6 +391,20 @@ def test_evaluate_raises_on_diverged_network():
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k", 2.0), ("k", True), ("episodes", True), ("episodes", 30.0),
+    ("fold", True), ("fold", 1.0),
+])
+def test_evaluate_rejects_non_integer_arguments(name, value):
+    # fold=True equals fold 1 and k=True equals K=1; neither may pass as one.
+    net = FewShotSegmenter(TINY.with_overrides(fold=1))
+    args = dict(fold=1, k=1, episodes=30, seed=0)
+    args[name] = value
+    with pytest.raises(ConfigError, match="^%s: " % name):
+        evaluate(net, **args)
+    assert not multiprocessing.active_children()
+
+
 def test_evaluate_deterministic():
     net = FewShotSegmenter(TINY)
     a = evaluate(net, fold=TINY.fold, k=1, episodes=20, seed=3)
@@ -408,6 +438,16 @@ def test_ablate_rejects_eval_episodes_before_training(monkeypatch, tmp_path):
     with pytest.raises(ConfigError, match="eval_episodes"):
         ablate(TINY, eval_episodes=0, out_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("eval_episodes", [True, 25.0])
+def test_ablate_rejects_non_integer_eval_episodes(monkeypatch, eval_episodes):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking eval_episodes")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ConfigError, match="^eval_episodes: "):
+        ablate(TINY, eval_episodes=eval_episodes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from protoseg.autodiff import Tensor
 from protoseg.config import Config
+from protoseg.encoder import STRIDE
 from protoseg.episodes import Episode, make_folds, sample_episode
 from protoseg.errors import DegenerateEpisodeError, DimensionError
 from protoseg.harness import SGD
@@ -27,12 +28,28 @@ def conv_params(c_out, c_in, k):
     return c_out * c_in * k * k + c_out
 
 
+@pytest.mark.parametrize("depth", [4, 6])
+def test_one_square_grid_from_encoder_to_head(depth):
+    # The encoder owns the geometry: an S x S image maps to an
+    # (c, S // STRIDE, S // STRIDE) grid, and both branches and the head are
+    # built on it, upsampling columns with the row matrix transposed.
+    cfg = TOY.with_overrides(image_size=32, encoder_depth=depth)
+    net = FewShotSegmenter(cfg)
+    grid = 32 // STRIDE
+    image = np.random.default_rng(depth).random((3, 32, 32)).astype(np.float32)
+    assert net.encoder(image).shape == (cfg.channels, grid, grid)
+    assert (net.grid == net.reasoning.grid == net.excitation.grid
+            == net.head.grid == grid)
+    assert net.head.rows.shape == (32, grid)
+    assert np.array_equal(net.head.cols_t, net.head.rows.T)
+
+
 def test_parameter_count_formulas_desk_config():
     cfg = Config()  # 64px, c=32, r=16, width 16, depth 4, reduction 4
     net = FewShotSegmenter(cfg)
     counts = net.module_parameter_counts()
     c, r, w = cfg.channels, cfg.proto_dim, cfg.encoder_width
-    l = (cfg.image_size // 4) ** 2
+    l = (cfg.image_size // STRIDE) ** 2
     encoder = (conv_params(w, 3, 3) + 2 * conv_params(w, w, 3)
                + conv_params(c, w, 3))
     reasoning = (2 * conv_params(r, c, 1) + conv_params(r, 2 * r, 1)
@@ -143,9 +160,9 @@ def test_branch_rejects_descriptors_off_its_grid(branch):
     x = Tensor(np.ones((8, 9), dtype=np.float32))  # 3x3 grid
     with pytest.raises(DimensionError):
         if branch == "reasoning":
-            GraphReasoning(8, 4, 1, grid_h=2, grid_w=2, seed=0)(x, x)
+            GraphReasoning(8, 4, 1, grid=2, seed=0)(x, x)
         else:
-            FeatureExcitation(8, 4, grid_h=2, grid_w=2, edge_fusion=True,
+            FeatureExcitation(8, 4, grid=2, edge_fusion=True,
                               seed=0)(x, np.ones((3, 3), dtype=np.float32), x)
 
 

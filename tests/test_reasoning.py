@@ -9,19 +9,11 @@ from protoseg.errors import ConfigError, DimensionError, ValidationError
 from protoseg.reasoning import (GraphReasoning, build_adjacency, gcn_forward,
                                 normalized_laplacian)
 
+from oracles import naive_cosine_rows
+
 
 def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
-
-
-def naive_cosine(g):
-    n = g.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            denom = np.linalg.norm(g[i]) * np.linalg.norm(g[j])
-            out[i, j] = g[i] @ g[j] / denom if denom > 0 else 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +25,7 @@ def test_adjacency_matches_relu_cosine_oracle(seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(6, 4))
     got = build_adjacency(t64(g)).data
-    want = np.maximum(naive_cosine(g), 0.0)
+    want = np.maximum(naive_cosine_rows(g), 0.0)
     np.fill_diagonal(want, 0.0)
     want = 0.5 * (want + want.T)
     assert np.abs(got - want).max() < 1e-10
@@ -162,7 +154,7 @@ def rand_ds(channels, h, w, seed, dtype=np.float64):
 
 
 def test_branch_shapes_and_param_names():
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=2, grid_h=4, grid_w=4,
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=2, grid=4,
                         seed=0, dtype=np.float64)
     names = [p.name for p in br.parameters()]
     assert all(n.startswith("reasoning.") for n in names)
@@ -173,13 +165,10 @@ def test_branch_shapes_and_param_names():
 
 def test_branch_rejects_bad_dims():
     with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=1, gcn_depth=2, grid_h=2,
-                       grid_w=2, seed=0)
+        GraphReasoning(channels=8, proto_dim=1, gcn_depth=2, grid=2, seed=0)
     with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=4, gcn_depth=0, grid_h=2,
-                       grid_w=2, seed=0)
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=2,
-                        grid_w=2, seed=0)
+        GraphReasoning(channels=8, proto_dim=4, gcn_depth=0, grid=2, seed=0)
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid=2, seed=0)
     with pytest.raises(DimensionError):
         br.project(rand_ds(4, 2, 2, 0))
 
@@ -187,7 +176,7 @@ def test_branch_rejects_bad_dims():
 def test_reflect_zero_relations_residual_identity():
     # With G = 0 the standardized reflection is exactly zero (constants are
     # killed by centering), so the branch must return the query bit-exact.
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=4, grid_w=4,
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid=4,
                         seed=3, dtype=np.float64)
     x_q = rand_ds(8, 4, 4, 9)
     node, _ = br.project(x_q)
@@ -197,7 +186,7 @@ def test_reflect_zero_relations_residual_identity():
 
 
 def test_reflect_zero_relations_identity_with_nonzero_bias():
-    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid_h=4, grid_w=4,
+    br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid=4,
                         seed=3, dtype=np.float64)
     br.reflect_b.data[:] = 1.7  # constant shift; centering removes it
     x_q = rand_ds(8, 4, 4, 10)
@@ -207,10 +196,10 @@ def test_reflect_zero_relations_identity_with_nonzero_bias():
 
 
 def test_branch_gradients():
-    br = GraphReasoning(channels=6, proto_dim=3, gcn_depth=2, grid_h=2, grid_w=3,
+    br = GraphReasoning(channels=6, proto_dim=3, gcn_depth=2, grid=3,
                         seed=4, dtype=np.float64)
-    x_s = rand_ds(6, 2, 3, 11)
-    x_q = rand_ds(6, 2, 3, 12)
+    x_s = rand_ds(6, 3, 3, 11)
+    x_q = rand_ds(6, 3, 3, 12)
 
     def f():
         out = br(x_s, x_q)
