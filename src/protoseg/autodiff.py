@@ -276,13 +276,13 @@ def clamp(a, lo=None, hi=None) -> Tensor:
     if lo is None and hi is None:
         raise UsageError("clamp needs at least one bound")
     out = Tensor(np.clip(a.data, lo, hi))
-    inside = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        inside &= a.data >= lo
-    if hi is not None:
-        inside &= a.data <= hi
 
     def backward(g: np.ndarray) -> None:
+        inside = np.ones_like(a.data, dtype=bool)
+        if lo is not None:
+            inside &= a.data >= lo
+        if hi is not None:
+            inside &= a.data <= hi
         _accumulate(a, g * inside)
 
     return _record(out, (a,), backward)
@@ -459,17 +459,8 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
     pad = (k - 1) // 2
     hh = (h + 2 * pad - k) // stride + 1
     ww = (w + 2 * pad - k) // stride + 1
-    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.data
-    # Columns: (c_in * k * k, hh * ww), one column per output position;
-    # tap (di, dj) of output (i, j) reads xp[:, stride * i + di, stride * j + dj].
-    sc, sy, sx = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (c_in, k, k, hh, ww), (sc, sy, sx, stride * sy, stride * sx),
-        writeable=False)
-    cols = np.ascontiguousarray(win).reshape(c_in * k * k, hh * ww)
     w2 = weight.data.reshape(c_out, c_in * k * k)
-    y = w2 @ cols
+    y = w2 @ _im2col(x.data, k, stride, hh, ww)
     parents = [x, weight]
     if bias is not None:
         bias = _coerce(bias, x)
@@ -482,7 +473,10 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(c_out, hh * ww)
-        _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
+        # The columns are cut again from x, not kept from the forward; they
+        # and the product are temporaries, freed before col2im runs.
+        _accumulate(weight, (g2 @ _im2col(x.data, k, stride, hh, ww).T)
+                    .reshape(weight.shape))
         if bias is not None:
             _accumulate(bias, g2.sum(axis=1))
         if not x.requires_grad:
@@ -490,6 +484,22 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
         _accumulate(x, _col2im(g, weight.data, x.shape, x.data.dtype, stride))
 
     return _record(out, tuple(parents), backward)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, hh: int,
+            ww: int) -> np.ndarray:
+    """conv2d's columns of x (c_in, h, w): (c_in * k * k, hh * ww), one
+    column per output position. Tap (di, dj) of output (i, j) reads the
+    zero-padded x at (stride * i + di, stride * j + dj)."""
+    c_in, h, w = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    sc, sy, sx = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c_in, k, k, hh, ww), (sc, sy, sx, stride * sy, stride * sx),
+        writeable=False)
+    return np.ascontiguousarray(win).reshape(c_in * k * k, hh * ww)
 
 
 def _col2im(g: np.ndarray, weight: np.ndarray, x_shape: tuple[int, int, int],
@@ -535,6 +545,10 @@ def _col2im(g: np.ndarray, weight: np.ndarray, x_shape: tuple[int, int, int],
         for dj in range(k):
             at = (di // s) * wq + dj // s
             planes[di % s, dj % s, at:at + n] += runs[dj]
+    if s == 1:
+        # One plane, already in the padded layout: crop it, no copy.
+        plane = planes[0, 0, :n].reshape(c_in, rows, wq)
+        return plane[:, pad:pad + h, pad:pad + w]
     padded = np.empty((c_in, rows * s, wq * s), dtype=dtype)
     for a in range(s):
         for b in range(s):
@@ -580,8 +594,8 @@ def backward(tape: Tape, output: Tensor) -> None:
     nodes = tape._nodes
     # Tape order is execution order, so the reverse is a valid topological
     # order: every consumer of a node runs before the node itself. A node
-    # is released as its closure runs, so the activations, columns and
-    # gradients only it holds are freed one by one; only leaves keep .grad.
+    # is released as its closure runs, so the activations and gradients
+    # only it holds are freed one by one; only leaves keep .grad.
     try:
         while nodes:
             node = nodes.pop()

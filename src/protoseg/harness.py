@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -97,6 +97,11 @@ def load_network(path) -> tuple[FewShotSegmenter, dict]:
                               % (key, want, header.get(key)))
     if not isinstance(header.get("config"), dict):
         raise FormatError("config: header field missing or not an object")
+    # A missing field would fall back to its default: a fold-1 model
+    # without "fold" would load, and be scored, as a fold-0 one.
+    missing = sorted({f.name for f in fields(Config)} - set(header["config"]))
+    if missing:
+        raise FormatError("config: missing keys %s" % missing)
     epoch = header.get("epoch")
     if type(epoch) is not int or epoch < 0:  # bool is an int subclass
         raise FormatError("epoch: header field missing or not a non-negative integer")

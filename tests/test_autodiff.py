@@ -372,14 +372,13 @@ def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
         assert np.array_equal(with_x, without_x)
 
 
-def test_recorded_conv2d_keeps_columns_and_output_but_no_padded_input():
-    # Backward needs the columns (weight gradient) and the output (the
-    # tape), not the zero-padded copy of x they were cut from.
+def test_recorded_conv2d_keeps_only_its_output():
+    # Backward cuts the columns again from x, which the tape holds anyway,
+    # so recording keeps neither them nor the zero-padded copy of x.
     rng = np.random.default_rng(5)
     x = t64(rng.normal(size=(8, 32, 32)))
     w = param("w", rng.normal(size=(4, 8, 3, 3)))
     b = param("b", rng.normal(size=4))
-    cols_bytes = (8 * 3 * 3) * (32 * 32) * 8
     out_bytes = 4 * 32 * 32 * 8
     padded_bytes = 8 * 34 * 34 * 8
     tracemalloc.start()
@@ -390,7 +389,46 @@ def test_recorded_conv2d_keeps_columns_and_output_but_no_padded_input():
     finally:
         tracemalloc.stop()
     assert y.data.nbytes == out_bytes and len(tape) == 1
-    assert cols_bytes + out_bytes <= kept < cols_bytes + out_bytes + padded_bytes // 2
+    assert out_bytes <= kept < out_bytes + padded_bytes // 2
+
+
+def forward_time_columns(x, k, stride):
+    """Columns (c_in * k * k, hh * ww) of the zero-padded x, cut tap by tap
+    before the tape is replayed."""
+    c_in, h, w = x.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    hh = (h + 2 * pad - k) // stride + 1
+    ww = (w + 2 * pad - k) // stride + 1
+    cols = np.empty((c_in, k, k, hh, ww), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, di, dj] = xp[:, di:di + stride * hh:stride,
+                                 dj:dj + stride * ww:stride]
+    return cols.reshape(c_in * k * k, hh * ww)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("c_out", [1, 5])
+def test_conv2d_parameter_grads_match_forward_time_columns(stride, k, c_out):
+    # The weight and bias gradients from columns recut in backward are the
+    # bytes that the columns of the forward give.
+    rng = np.random.default_rng(100 * stride + 10 * k + c_out)
+    x = Tensor(rng.normal(size=(3, 11, 9)).astype(np.float32))
+    w = Parameter("w", rng.normal(size=(c_out, 3, k, k)).astype(np.float32))
+    b = Parameter("b", rng.normal(size=c_out).astype(np.float32))
+    cols = forward_time_columns(x.data, k, stride)
+    with Tape() as tape:
+        y = ad.conv2d(x, w, b, stride=stride)
+        g = rng.normal(size=y.shape).astype(np.float32)
+        out = ad.tensor_sum(ad.mul(y, Tensor(g)))
+    backward(tape, out)
+    g2 = g.reshape(c_out, -1)
+    want_w = np.add(g2 @ cols.T, 0).reshape(w.shape)
+    want_b = np.add(g2.sum(axis=1), 0)
+    assert w.grad.tobytes() == want_w.tobytes()
+    assert b.grad.tobytes() == want_b.tobytes()
 
 
 # Every conv2d shape of a desk training episode, then strides and extents

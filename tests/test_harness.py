@@ -335,6 +335,19 @@ def test_load_network_rejects_tensors_off_the_header_config(tmp_path, change,
     assert detail in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["fold", "edge_fusion"])
+def test_load_network_requires_every_config_key(tmp_path, key):
+    # Without "fold" a fold-1 model would load as fold 0, and evaluate
+    # would score it on the fold that holds its training classes.
+    cfg = TINY.with_overrides(fold=1, edge_fusion=False)
+    path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(cfg), 0, 0)
+    _edit_header(path, lambda header: header["config"].pop(key))
+    for load in (load_network, lambda p: evaluate(p, episodes=1)):
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == "config: missing keys ['%s']" % key
+
+
 def test_load_network_rejects_mistyped_config_value(tmp_path):
     path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(TINY), 0, 0)
     _edit_header(path, lambda header: header["config"].update(channels="8"))

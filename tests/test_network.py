@@ -229,6 +229,31 @@ def test_training_backward_peaks_at_the_end_of_forward():
     assert peak <= 1.15 * live
 
 
+def test_training_forward_keeps_under_six_mib():
+    # What a desk training episode's forward leaves live for backward: the
+    # activations the tape holds, no conv columns (keeping those took
+    # 12.0 MiB).
+    import tracemalloc
+
+    import protoseg.autodiff as ad
+    from protoseg.autodiff import Tape
+
+    cfg = Config()
+    net = FewShotSegmenter(cfg)
+    split = make_folds(tuple(range(12)), seed=cfg.seed, test_fold=cfg.fold)
+    ep = sample_episode(split, "train", cfg.k_shot, seed=3,
+                        image_size=cfg.image_size)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            ad.mul(net.episode_loss(ep), 0.5)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 135
+    assert live <= 6.0 * 2 ** 20
+
+
 def test_f64_mode_propagates():
     net = FewShotSegmenter(TOY, dtype=np.float64)
     assert all(p.data.dtype == np.float64 for p in net.parameters())
