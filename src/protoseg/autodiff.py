@@ -404,20 +404,18 @@ def _check_kernel(k: int) -> None:
 
 
 def conv1d(x, weight, bias=None) -> Tensor:
-    """Pointwise 1-D convolution, y = W x + b. x: (c_in, l), weight:
-    (c_out, c_in, 1), bias: (c_out,)."""
+    """Pointwise 1-D convolution, the model's one linear layer: y = W x + b.
+    x: (c_in, l), weight: (c_out, c_in), bias: (c_out,)."""
     x = _coerce(x)
     weight = _coerce(weight, x)
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise DimensionError("conv1d expects x (c_in, l) and weight (c_out, c_in, 1)")
-    c_out, c_in, k = weight.shape
-    if k != 1:
-        raise DimensionError("conv1d is pointwise: weight width must be 1, got %d" % k)
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise DimensionError("conv1d expects x (c_in, l) and weight (c_out, c_in), "
+                             "got %s and %s" % (x.shape, weight.shape))
+    c_out, c_in = weight.shape
     if x.shape[0] != c_in:
         raise DimensionError("conv1d channel mismatch: x has %d, weight expects %d"
                              % (x.shape[0], c_in))
-    w2 = weight.data.reshape(c_out, c_in)
-    y = w2 @ x.data
+    y = weight.data @ x.data
     parents = [x, weight]
     if bias is not None:
         bias = _coerce(bias, x)
@@ -429,11 +427,11 @@ def conv1d(x, weight, bias=None) -> Tensor:
     out = Tensor(y)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(weight, (g @ x.data.T).reshape(weight.shape))
+        _accumulate(weight, g @ x.data.T)
         if bias is not None:
             _accumulate(bias, g.sum(axis=1))
         if x.requires_grad:
-            _accumulate(x, w2.T @ g)
+            _accumulate(x, weight.data.T @ g)
 
     return _record(out, tuple(parents), backward)
 

@@ -75,14 +75,14 @@ class FeatureExcitation(Module):
 
         k = SPATIAL_KERNEL
         self.squeeze_w = self.he_weight("excitation.squeeze", (self.hidden, channels))
-        self.squeeze_b = self.zeros("excitation.squeeze.bias", (self.hidden, 1))
+        self.squeeze_b = self.zeros("excitation.squeeze.bias", (self.hidden,))
         self.expand_w = self.he_weight("excitation.expand", (channels, self.hidden))
-        self.expand_b = self.zeros("excitation.expand.bias", (channels, 1))
+        self.expand_b = self.zeros("excitation.expand.bias", (channels,))
         self.spatial_w = self.he_weight("excitation.spatial", (1, channels, k, k))
         self.spatial_b = self.zeros("excitation.spatial.bias", (1,))
         if edge_fusion:
             self.fuse_w = self.he_weight("excitation.fuse_edges",
-                                         (channels, channels + grid * grid, 1))
+                                         (channels, channels + grid * grid))
             self.fuse_b = self.zeros("excitation.fuse_edges.bias", (channels,))
 
     def channel_attention(self, p: Tensor) -> Tensor:
@@ -92,8 +92,8 @@ class FeatureExcitation(Module):
             raise DimensionError("expected (c, l) with c=%d, got %s"
                                  % (self.channels, p.shape))
         pooled = ad.avg_pool_global(p)
-        h = ad.relu(ad.add(ad.matmul(self.squeeze_w, pooled), self.squeeze_b))
-        gate = ad.sigmoid(ad.add(ad.matmul(self.expand_w, h), self.expand_b))
+        h = ad.relu(ad.conv1d(pooled, self.squeeze_w, self.squeeze_b))
+        gate = ad.sigmoid(ad.conv1d(h, self.expand_w, self.expand_b))
         return ad.mul(p, gate)
 
     def spatial_attention(self, p: Tensor) -> Tensor:

@@ -58,7 +58,7 @@ class FusionHead(Module):
             self.convs.append((w, self.zeros(name + ".bias", (c2,))))
         # Zero classifier: every run opens at probability 0.5 per pixel, so
         # the first loss is ln 2 and no seed starts saturated.
-        self.cls_w = self.zeros("fusion.cls.weight", (1, c2, 1, 1))
+        self.cls_w = self.zeros("fusion.cls.weight", (1, c2))
         self.cls_b = self.zeros("fusion.cls.bias", (1,))
         self.rows = bilinear_matrix(size, grid, dtype)
         self.cols_t = self.rows.T.copy()
@@ -77,7 +77,8 @@ class FusionHead(Module):
             wb, bb = self.convs[i + 1]
             inner = ad.conv2d(ad.relu(ad.conv2d(x, wa, ba)), wb, bb)
             x = ad.add(x, inner)
-        logits_grid = ad.conv2d(x, self.cls_w, self.cls_b)
-        logits_grid = ad.reshape(logits_grid, self.grid, self.grid)
+        cell_logits = ad.conv1d(ad.reshape(x, 2 * self.channels, cells),
+                                self.cls_w, self.cls_b)
+        logits_grid = ad.reshape(cell_logits, self.grid, self.grid)
         logits = ad.matmul(ad.matmul(self.rows, logits_grid), self.cols_t)
         return ad.sigmoid(logits)

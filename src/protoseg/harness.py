@@ -27,7 +27,7 @@ from .storage import read_checkpoint, write_checkpoint
 CHECKPOINT_FORMAT = "protoseg-checkpoint"
 # Bumped whenever the header or the parameter layout changes; load_network
 # accepts only this version.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ABLATION_ROWS: tuple[tuple[str, dict], ...] = (
     ("reasoning", dict(graph_reasoning=True, excitation=False, edge_fusion=False)),

@@ -88,11 +88,11 @@ class GraphReasoning(Module):
         self.channels = channels
         self.grid = grid
         c, r = channels, proto_dim
-        self.node_w = self.he_weight("reasoning.project_node", (r, c, 1))
+        self.node_w = self.he_weight("reasoning.project_node", (r, c))
         self.node_b = self.zeros("reasoning.project_node.bias", (r,))
-        self.channel_w = self.he_weight("reasoning.project_channel", (r, c, 1))
+        self.channel_w = self.he_weight("reasoning.project_channel", (r, c))
         self.channel_b = self.zeros("reasoning.project_channel.bias", (r,))
-        self.fuse_w = self.he_weight("reasoning.fuse_relations", (r, 2 * r, 1))
+        self.fuse_w = self.he_weight("reasoning.fuse_relations", (r, 2 * r))
         self.fuse_b = self.zeros("reasoning.fuse_relations.bias", (r,))
         self.thetas = [self.he_weight("reasoning.gcn%d" % i, (r, r))
                        for i in range(gcn_depth)]

@@ -19,7 +19,7 @@ def naive_matmul(a, b):
 
 
 def naive_conv1d(x, w, b):
-    """Pointwise: w is (c_out, c_in, 1)."""
+    """Pointwise: w is (c_out, c_in)."""
     c_in, length = x.shape
     c_out = w.shape[0]
     out = np.zeros((c_out, length))
@@ -27,7 +27,7 @@ def naive_conv1d(x, w, b):
         for pos in range(length):
             acc = 0.0
             for ci in range(c_in):
-                acc += x[ci, pos] * w[o, ci, 0]
+                acc += x[ci, pos] * w[o, ci]
             out[o, pos] = acc + (b[o] if b is not None else 0.0)
     return out
 

@@ -94,7 +94,7 @@ def test_oracle_suite():
         c_in, c_out, length = rng.integers(1, 6, size=3)
         kern = int(rng.choice([1, 3, 5]))
         x = rng.normal(size=(c_in, length))
-        w = rng.normal(size=(c_out, c_in, 1))
+        w = rng.normal(size=(c_out, c_in))
         bias = rng.normal(size=c_out)
         track("conv1d", np.abs(ad.conv1d(Tensor(x), Tensor(w), Tensor(bias)).data
                                - oracles.naive_conv1d(x, w, bias)).max())
@@ -202,8 +202,8 @@ def test_structural_suite():
                           0.5 * probe.data)
 
     # identity projection through the edge-fuse conv returns its main input
-    eye = np.zeros((c, c + side * side, 1))
-    eye[:, :c, 0] = np.eye(c)
+    eye = np.zeros((c, c + side * side))
+    eye[:, :c] = np.eye(c)
     exc.fuse_w.data[...] = eye
     fused = exc.fuse_edges(probe, Tensor(rng.normal(size=(side * side, side * side))))
     assert np.array_equal(fused.data, probe.data)

@@ -39,7 +39,7 @@ def test_conv1d_matches_naive(seed):
     c_in, c_out = rng.integers(1, 5, size=2)
     length = int(rng.integers(3, 12))
     x = rng.normal(size=(c_in, length))
-    w = rng.normal(size=(c_out, c_in, 1))
+    w = rng.normal(size=(c_out, c_in))
     b = rng.normal(size=c_out)
     got = ad.conv1d(t64(x), t64(w), t64(b)).data
     assert np.abs(got - naive_conv1d(x, w, b)).max() < 1e-12
@@ -77,14 +77,16 @@ def test_conv_rejects_even_kernel():
         ad.conv2d(x, w)
 
 
-def test_conv1d_rejects_wide_kernel():
-    with pytest.raises(DimensionError, match="width must be 1"):
-        ad.conv1d(t64(np.zeros((2, 5))), t64(np.zeros((3, 2, 3))))
+def test_conv1d_rejects_weight_not_of_rank_2():
+    # (3, 2, 1) is the pointwise weight layout of checkpoint version 2.
+    for shape in [(3, 2, 1), (3, 2, 3), (2,), (1, 3, 2, 1)]:
+        with pytest.raises(DimensionError, match=r"weight \(c_out, c_in\)"):
+            ad.conv1d(t64(np.zeros((2, 5))), t64(np.zeros(shape)))
 
 
 @pytest.mark.parametrize("bias_shape", [(3, 1), (3, 1, 1)])
 @pytest.mark.parametrize("conv,x_shape,w_shape", [
-    ("conv1d", (2, 5), (3, 2, 1)),
+    ("conv1d", (2, 5), (3, 2)),
     ("conv2d", (2, 5, 5), (3, 2, 3, 3)),
 ])
 def test_conv_rejects_bias_other_than_c_out(conv, x_shape, w_shape, bias_shape):
@@ -335,7 +337,7 @@ def test_conv_gradients():
 def test_conv1d_gradients():
     rng = np.random.default_rng(8)
     x = param("x", rng.normal(size=(3, 7)))
-    w = param("w", rng.normal(size=(2, 3, 1)))
+    w = param("w", rng.normal(size=(2, 3)))
     b = param("b", rng.normal(size=(2,)))
 
     def f():
@@ -347,7 +349,7 @@ def test_conv1d_gradients():
 @pytest.mark.parametrize("conv,x_shape,w_shape,stride", [
     ("conv2d", (2, 5, 5), (3, 2, 3, 3), 2),
     ("conv2d", (2, 6, 6), (3, 2, 1, 1), 1),
-    ("conv1d", (3, 7), (2, 3, 1), None),
+    ("conv1d", (3, 7), (2, 3), None),
 ])
 def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
                                                         stride):
@@ -370,6 +372,52 @@ def test_conv_parameter_grads_independent_of_input_grad(conv, x_shape, w_shape,
         grads[x_grad] = (w.grad.copy(), b.grad.copy())
     for with_x, without_x in zip(grads[True], grads[False]):
         assert np.array_equal(with_x, without_x)
+
+
+def _linear_grads(layer, dtype, x_shape, c_out, seed):
+    """Output and the x, weight and bias gradients of layer(x, w, b) under
+    a random upstream gradient, as bytes."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+    w = Parameter("w", rng.normal(size=(c_out, x_shape[0])).astype(dtype))
+    b = Parameter("b", rng.normal(size=c_out).astype(dtype))
+    with Tape() as tape:
+        y = layer(x, w, b)
+        g = rng.normal(size=y.shape).astype(dtype)
+        out = ad.tensor_sum(ad.mul(y, g))
+    result = [y.data.tobytes()]
+    backward(tape, out)
+    return result + [t.grad.tobytes() for t in (x, w, b)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_out", [1, 5])
+def test_conv1d_is_matmul_plus_bias(dtype, c_out):
+    # Byte for byte a matmul plus a broadcast bias: the same GEMMs and, for
+    # the bias gradient, the same row sums.
+    def matmul_add(x, w, b):
+        return ad.add(ad.matmul(w, x), ad.reshape(b, c_out, 1))
+
+    for length in (1, 7):
+        want = _linear_grads(matmul_add, dtype, (6, length), c_out, length)
+        assert _linear_grads(ad.conv1d, dtype, (6, length), c_out,
+                             length) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_out", [1, 5])
+def test_conv1d_on_a_flattened_map_is_a_1x1_conv2d(dtype, c_out):
+    # A 1x1 conv2d's columns are the map itself and its input gradient adds
+    # one tap onto +0.0, so conv1d over the flattened map gives its bytes.
+    def flat(x, w, b):
+        y = ad.conv1d(ad.reshape(x, x.shape[0], -1), w, b)
+        return ad.reshape(y, c_out, *x.shape[1:])
+
+    def conv2d_1x1(x, w, b):
+        return ad.conv2d(x, ad.reshape(w, *w.shape, 1, 1), b)
+
+    want = _linear_grads(conv2d_1x1, dtype, (6, 5, 4), c_out, 3)
+    assert _linear_grads(flat, dtype, (6, 5, 4), c_out, 3) == want
 
 
 def test_recorded_conv2d_keeps_only_its_output():
@@ -431,8 +479,9 @@ def test_conv2d_parameter_grads_match_forward_time_columns(stride, k, c_out):
     assert b.grad.tobytes() == want_b.tobytes()
 
 
-# Every conv2d shape of a desk training episode, then strides and extents
-# the model does not use. Shapes: x (c_in, h, w), weight (c_out, c_in, k, k).
+# Every conv2d shape of a desk training episode, then a 1x1 to one channel
+# and strides and extents the model does not use. Shapes: x (c_in, h, w),
+# weight (c_out, c_in, k, k).
 COL2IM_CASES = [
     ((3, 64, 64), (16, 3, 3, 3), 1, np.float32),      # encoder block 0
     ((16, 64, 64), (16, 16, 3, 3), 2, np.float32),    # encoder, stride 2
@@ -441,7 +490,7 @@ COL2IM_CASES = [
     ((16, 16, 16), (32, 16, 3, 3), 1, np.float32),    # reasoning reflect
     ((64, 16, 16), (64, 64, 3, 3), 1, np.float32),    # fusion head
     ((32, 16, 16), (1, 32, 7, 7), 1, np.float32),     # spatial gate
-    ((64, 16, 16), (1, 64, 1, 1), 1, np.float32),     # classifier
+    ((64, 16, 16), (1, 64, 1, 1), 1, np.float32),     # 1x1, one channel
     ((3, 11, 10), (4, 3, 5, 5), 3, np.float32),
     ((2, 7, 9), (3, 2, 3, 3), 2, np.float64),
     ((3, 8, 13), (2, 3, 5, 5), 3, np.float64),

@@ -145,7 +145,7 @@ def test_fuse_edges_identity_projection_case():
     br = make_branch(channels=4, reduction=2, grid=3, edges=True)
     br.fuse_w.data[:] = 0.0
     for i in range(4):
-        br.fuse_w.data[i, i, 0] = 1.0
+        br.fuse_w.data[i, i] = 1.0
     br.fuse_b.data[:] = 0.0
     p_e = rand_ds(4, 3, 3, 13)
     d = Tensor(np.random.default_rng(14).normal(size=(9, 9)))

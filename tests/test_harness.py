@@ -23,6 +23,7 @@ from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               render_ablation, save_checkpoint, train)
 from protoseg.network import FewShotSegmenter
 from protoseg.seeding import derive_seed
+from protoseg.storage import read_checkpoint, write_checkpoint
 
 # 16px toy geometry keeps each training run around a tenth of a second
 TINY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
@@ -288,14 +289,37 @@ def _edit_header(path, edit):
                      .encode() + b"\n" + records)
 
 
-def test_load_network_rejects_other_version(tmp_path):
-    path = save_checkpoint(tmp_path / "v1.ckpt", FewShotSegmenter(TINY), 0, 0)
+def _as_version_1(header, arrays):
+    header["config"]["pool_divide_by_l"] = False
 
-    def as_version_1(header):
-        header["version"] = 1
-        header["config"]["pool_divide_by_l"] = False
 
-    _edit_header(path, as_version_1)
+# The parameters that version 2 wrote with trailing 1s: pointwise weights
+# as (c_out, c_in, 1), the classifier as (1, 2c, 1, 1) and the excitation
+# biases as (c, 1). A version check that let such a file through would fail
+# on its shapes instead.
+V2_TRAILING_ONES = {
+    "reasoning.project_node.weight": 1,
+    "reasoning.project_channel.weight": 1,
+    "reasoning.fuse_relations.weight": 1,
+    "excitation.squeeze.bias": 1,
+    "excitation.expand.bias": 1,
+    "excitation.fuse_edges.weight": 1,
+    "fusion.cls.weight": 2,
+}
+
+
+def _as_version_2(header, arrays):
+    for name, ones in V2_TRAILING_ONES.items():
+        arrays[name] = arrays[name].reshape(arrays[name].shape + (1,) * ones)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_network_rejects_other_version(tmp_path, version):
+    path = save_checkpoint(tmp_path / "old.ckpt", FewShotSegmenter(TINY), 0, 0)
+    header, arrays = read_checkpoint(path)
+    header["version"] = version
+    {1: _as_version_1, 2: _as_version_2}[version](header, arrays)
+    write_checkpoint(path, header, arrays)
     with pytest.raises(FormatError) as err:
         load_network(path)
     assert str(err.value).startswith("version:")

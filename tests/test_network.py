@@ -91,6 +91,19 @@ def test_toggles_drop_parameter_groups():
                    for p in no_edges.parameters())
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"edge_fusion": False}, {"graph_reasoning": False},
+    {"excitation": False, "edge_fusion": False}])
+def test_every_bias_is_one_value_per_output_channel(overrides):
+    # One bias shape for every layer, conv2d and the pointwise conv1d alike.
+    params = {p.name: p for p in FewShotSegmenter(Config(**overrides)).parameters()}
+    biases = [name for name in params if name.endswith(".bias")]
+    assert biases
+    for name in biases:
+        weight = params[name[:-len("bias")] + "weight"]
+        assert params[name].shape == weight.shape[:1], name
+
+
 def test_same_seed_same_weights():
     a, b = toy_net(), toy_net()
     for pa, pb in zip(a.parameters(), b.parameters()):
@@ -250,7 +263,7 @@ def test_training_forward_keeps_under_six_mib():
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(tape) == 135
+    assert len(tape) == 134
     assert live <= 6.0 * 2 ** 20
 
 
@@ -266,21 +279,21 @@ def test_f64_mode_propagates():
 # bit-identical; a change to it changes every trajectory and reported number.
 GOLDEN_PARAMETER_DIGESTS = {
     ("default", "float32"):
-        "581a17c5873c19075ed9e5d964c8542c414e4f6c6811cc4424ca4140132d7e6b",
+        "f5022fc024eeaceda82a73de79284a89e44d20e2c3b8af25fac569c544d2a0dc",
     ("default", "float64"):
-        "0af05d6b540c8ff12365850c92048f99966033ae7b428cf9505b153360ab8cbd",
+        "aa62a9a38b9a82d7e15d6bb636732e64984b94e2be4244b87234f7cf23af572c",
     ("no_edges", "float32"):
-        "fc5e770ec5c2e59e49bbec1f4a549cbdaedc421a26f2ea126b5edddf395918c4",
+        "1023f0c17483d154cd40aec7f79678b661b7329af197aaf568a6ccac270861c2",
     ("no_edges", "float64"):
-        "555d0742bb5f3fd088649a3c8b329df713e2fc10798eb3ffc30efda2deaa383b",
+        "c01841282e40713fc4424e1a8e32002dc50f3999d97a3a230ba3d0de8688c214",
     ("no_reasoning", "float32"):
-        "6278262b4a5fc66ccbd92df5e7659b9f604a191c7f026cad09c7b6cf26581d2b",
+        "2485448077e5595caca88dfa011449e41a324860682fcbfa814ffddf72fa6c3f",
     ("no_reasoning", "float64"):
-        "ecd45243b30fdcab6b09d27ed003b92876935273d5d8e4f573677f181298e04c",
+        "fbc97339fdd533c700be243e1f57840de44fe67b09fc4e69c798fc4d891fe370",
     ("toy_gcn3", "float32"):
-        "2597e6ff5bea602da9c5688745e88a5bba5f1d01cefd4065380d076d8d4f40c3",
+        "b6b7b468737fa551a40d0401f788230a2c94f39f0e2466e251d7da5112cb8b43",
     ("toy_gcn3", "float64"):
-        "33ec2a37e2658e61d9075cc0449c49732d60daebf0e5d86eb3dc86214dca6f20",
+        "0eef20772687a0c8cea3eb62520b60c23c494dac9a5355f76b908a2b0a7d1701",
 }
 
 

@@ -5,14 +5,20 @@
 Imports protoseg from SRC_DIR (default: this checkout's src/) with one BLAS
 thread, then hashes, in order:
 
-  train seed=S fold=S     every checkpoint file and the loss list of the
-                          default desk `train`, for S = 0, 1, 2
+  losses seed=S fold=S    the loss list of the default desk `train`, for
+                          S = 0, 1, 2
+  params seed=S fold=S    name, dtype and raw bytes of every array in each
+                          of its checkpoints, read back with
+                          `read_checkpoint`: no shapes, no header
+  files seed=S fold=S     the bytes of its checkpoint files
   eval ... k=1 / k=5      the 20-episode `evaluate` report of each final
                           network at K=1 and K=5
   gradcheck               the floats of `gradcheck_model(Config())`
 
 It prints one sha256 per part and one over all parts. A change that claims
-to keep outputs bit-identical prints the same lines as its parent:
+to keep outputs bit-identical prints the same lines as its parent. A change
+of checkpoint layout alone (shapes, header) moves only the `files` lines
+and the total:
 
     git archive --prefix=parent/ HEAD | tar -x -C /tmp
     python3 tools/fingerprint.py /tmp/parent/src > parent.txt
@@ -51,16 +57,24 @@ def parts():
     """Yield (label, bytes) for every hashed part, in a fixed order."""
     from protoseg.config import Config
     from protoseg.harness import evaluate, gradcheck_model, train
+    from protoseg.storage import read_checkpoint
 
     for seed in SEEDS:
+        run = "seed=%d fold=%d" % (seed, seed)
         with tempfile.TemporaryDirectory() as out_dir:
             result = train(Config(seed=seed, fold=seed), out_dir=out_dir)
-            blob = b"".join(path.read_bytes() for path in result.checkpoints)
-        yield ("train seed=%d fold=%d" % (seed, seed),
-               blob + repr(result.losses).encode())
+            values, files = [], []
+            for path in result.checkpoints:
+                for name, array in read_checkpoint(path)[1].items():
+                    values += [name.encode(), array.dtype.str.encode(),
+                               array.tobytes()]
+                files.append(path.read_bytes())
+        yield "losses " + run, repr(result.losses).encode()
+        yield "params " + run, b"\0".join(values)
+        yield "files " + run, b"".join(files)
         for k in (1, 5):
             report = evaluate(result.network, k=k, episodes=EVAL_EPISODES)
-            yield ("eval seed=%d fold=%d k=%d" % (seed, seed, k),
+            yield ("eval %s k=%d" % (run, k),
                    json.dumps(report.to_dict(), sort_keys=True).encode())
     errors = gradcheck_model(Config())
     yield "gradcheck", repr(sorted(errors.items())).encode()
