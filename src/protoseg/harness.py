@@ -127,48 +127,45 @@ class TrainResult:
 def train(config: Config, out_dir=None,
           progress: Optional[Callable[[int, float], None]] = None) -> TrainResult:
     """Episodic training: two episodes per optimizer step via gradient
-    accumulation, one checkpoint per epoch when out_dir is given."""
+    accumulation, one checkpoint per epoch when out_dir is given. Episodes
+    are drawn inline: a training step keeps its CPU busy, and a forked
+    render worker took turns with it on that CPU instead of overlapping."""
     config.validate()
     net = FewShotSegmenter(config)
     split = default_split(config)
     opt = SGD(net.parameters(), config.learning_rate, config.momentum)
     losses: list[float] = []
     checkpoints: list[Path] = []
-    seeds = [derive_seed(config.seed, "train", i)
-             for i in range(config.epochs * config.episodes_per_epoch)]
     episode_index = 0
-    with EpisodeStream(split, "train", config.k_shot, seeds,
-                       config.image_size) as stream:
-        for epoch in range(config.epochs):
-            epoch_losses = []
-            remaining = config.episodes_per_epoch
-            while remaining:
-                batch = min(2, remaining)
-                remaining -= batch
-                opt.zero_grad()
-                for _ in range(batch):
-                    ep_seed = seeds[episode_index]
-                    episode = sample_episode(split, "train", config.k_shot,
-                                             ep_seed, config.image_size,
-                                             ahead=stream)
-                    with Tape() as tape:
-                        loss = net.episode_loss(episode)
-                        scaled = ad.mul(loss, 1.0 / batch)
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        raise TrainingError(
-                            "non-finite loss at training episode %d (episode "
-                            "seed %d, epoch %d)" % (episode_index, ep_seed, epoch))
-                    ad.backward(tape, scaled)
-                    losses.append(value)
-                    epoch_losses.append(value)
-                    episode_index += 1
-                opt.step()
-            if out_dir is not None:
-                path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
-                checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
-            if progress is not None:
-                progress(epoch, float(np.mean(epoch_losses)))
+    for epoch in range(config.epochs):
+        epoch_losses = []
+        remaining = config.episodes_per_epoch
+        while remaining:
+            batch = min(2, remaining)
+            remaining -= batch
+            opt.zero_grad()
+            for _ in range(batch):
+                ep_seed = derive_seed(config.seed, "train", episode_index)
+                episode = sample_episode(split, "train", config.k_shot,
+                                         ep_seed, config.image_size)
+                with Tape() as tape:
+                    loss = net.episode_loss(episode)
+                    scaled = ad.mul(loss, 1.0 / batch)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        "non-finite loss at training episode %d (episode "
+                        "seed %d, epoch %d)" % (episode_index, ep_seed, epoch))
+                ad.backward(tape, scaled)
+                losses.append(value)
+                epoch_losses.append(value)
+                episode_index += 1
+            opt.step()
+        if out_dir is not None:
+            path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
+            checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
+        if progress is not None:
+            progress(epoch, float(np.mean(epoch_losses)))
     return TrainResult(network=net, losses=losses, checkpoints=checkpoints)
 
 

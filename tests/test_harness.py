@@ -129,8 +129,20 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     with pytest.raises(TrainingError) as err:
         train(TINY)
     assert "episode seed" in str(err.value)
-    # The episode worker, still rendering the rest, is stopped too.
+    # Training forks no worker, so none is left behind either.
     assert not multiprocessing.active_children()
+
+
+def test_train_draws_its_episodes_in_process():
+    # Mid-training, after each epoch's episodes, no render worker runs.
+    epochs = []
+
+    def progress(epoch, loss):
+        assert multiprocessing.active_children() == []
+        epochs.append(epoch)
+
+    train(TINY, progress=progress)
+    assert epochs == list(range(TINY.epochs))
 
 
 def test_train_and_evaluate_leave_no_worker():
@@ -189,14 +201,20 @@ def test_seed_outside_32_bits_is_refused():
 
 def test_import_does_not_load_multiprocessing():
     # An episode stream imports multiprocessing and mmap when it opens; a
-    # fresh interpreter's import of the package stays without them.
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import protoseg.harness, protoseg.cli; "
-             "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)")
+    # fresh interpreter's import of the package stays without them, and so
+    # does a training, which draws its episodes inline.
+    training = ("from protoseg.config import Config; "
+                "protoseg.harness.train(Config(image_size=16, channels=8, "
+                "proto_dim=4, encoder_width=4, reduction=4, epochs=1, "
+                "episodes_per_epoch=2)); ")
     src = str(Path(protoseg.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False False"
+    for then in ("", training):
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import protoseg.harness, protoseg.cli; " + then +
+                 "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False False", then
 
 
 _BLAS_PROBE = """
