@@ -328,8 +328,6 @@ def _normalize_axes(axis, ndim: int) -> Optional[tuple[int, ...]]:
 
 def reshape(a, *shape) -> Tensor:
     a = _coerce(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     try:
         out = Tensor(a.data.reshape(shape))
     except ValueError:
@@ -403,7 +401,7 @@ def _check_kernel(k: int) -> None:
         raise ConfigError("kernel width must be odd and positive, got %d" % k)
 
 
-def conv1d(x, weight, bias=None) -> Tensor:
+def conv1d(x, weight, bias) -> Tensor:
     """Pointwise 1-D convolution, the model's one linear layer: y = W x + b.
     x: (c_in, l), weight: (c_out, c_in), bias: (c_out,)."""
     x = _coerce(x)
@@ -415,28 +413,24 @@ def conv1d(x, weight, bias=None) -> Tensor:
     if x.shape[0] != c_in:
         raise DimensionError("conv1d channel mismatch: x has %d, weight expects %d"
                              % (x.shape[0], c_in))
+    bias = _coerce(bias, x)
+    if bias.shape != (c_out,):
+        raise DimensionError("conv1d bias shape %s is not (%d,)"
+                             % (bias.shape, c_out))
     y = weight.data @ x.data
-    parents = [x, weight]
-    if bias is not None:
-        bias = _coerce(bias, x)
-        if bias.shape != (c_out,):
-            raise DimensionError("conv1d bias shape %s is not (%d,)"
-                                 % (bias.shape, c_out))
-        y += bias.data.reshape(c_out, 1)
-        parents.append(bias)
+    y += bias.data.reshape(c_out, 1)
     out = Tensor(y)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(weight, g @ x.data.T)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=1))
+        _accumulate(bias, g.sum(axis=1))
         if x.requires_grad:
             _accumulate(x, weight.data.T @ g)
 
-    return _record(out, tuple(parents), backward)
+    return _record(out, (x, weight, bias), backward)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
+def conv2d(x, weight, bias, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution. x: (c_in, h, w), weight: (c_out, c_in,
     k, k), bias: (c_out,)."""
     x = _coerce(x)
@@ -452,6 +446,10 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
     _check_kernel(kh)
     if stride < 1:
         raise ConfigError("stride must be >= 1, got %d" % stride)
+    bias = _coerce(bias, x)
+    if bias.shape != (c_out,):
+        raise DimensionError("conv2d bias shape %s is not (%d,)"
+                             % (bias.shape, c_out))
     k = kh
     _, h, w = x.shape
     pad = (k - 1) // 2
@@ -459,14 +457,7 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
     ww = (w + 2 * pad - k) // stride + 1
     w2 = weight.data.reshape(c_out, c_in * k * k)
     y = w2 @ _im2col(x.data, k, stride, hh, ww)
-    parents = [x, weight]
-    if bias is not None:
-        bias = _coerce(bias, x)
-        if bias.shape != (c_out,):
-            raise DimensionError("conv2d bias shape %s is not (%d,)"
-                                 % (bias.shape, c_out))
-        y += bias.data.reshape(c_out, 1)
-        parents.append(bias)
+    y += bias.data.reshape(c_out, 1)
     out = Tensor(y.reshape(c_out, hh, ww))
 
     def backward(g: np.ndarray) -> None:
@@ -475,13 +466,12 @@ def conv2d(x, weight, bias=None, stride: int = 1) -> Tensor:
         # and the product are temporaries, freed before col2im runs.
         _accumulate(weight, (g2 @ _im2col(x.data, k, stride, hh, ww).T)
                     .reshape(weight.shape))
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=1))
+        _accumulate(bias, g2.sum(axis=1))
         if not x.requires_grad:
             return
         _accumulate(x, _col2im(g, weight.data, x.shape, x.data.dtype, stride))
 
-    return _record(out, tuple(parents), backward)
+    return _record(out, (x, weight, bias), backward)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, hh: int,

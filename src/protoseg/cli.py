@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .config import Config, load_config
-from .errors import ProtosegError
+from .errors import ConfigError, ProtosegError
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -67,8 +67,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = harness.evaluate(args.ckpt, fold=args.fold, k=args.k,
-                              episodes=args.episodes, seed=args.seed)
+    net, _ = harness.load_network(args.ckpt)
+    if args.fold != net.config.fold:
+        raise ConfigError(
+            "these weights held out fold %d; evaluating fold %d would mix "
+            "training classes into the test set" % (net.config.fold, args.fold))
+    report = harness.evaluate(net, k=args.k, episodes=args.episodes,
+                              seed=args.seed)
     print(report.to_text())
     return 0
 
@@ -76,7 +81,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     config = load_config(args.config)
 
-    def progress(label: str, row: dict) -> None:
+    def progress(label: str, row: dict, _: harness.TrainResult) -> None:
         print("row = %s" % label)
         print("miou = %.6f" % row["miou"])
         print("fb_iou = %.6f" % row["fb_iou"])

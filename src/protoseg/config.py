@@ -1,5 +1,8 @@
 """Run configuration: a flat dataclass plus a line-based file format.
 
+A Config checks itself when it is built, so one that breaks a rule cannot
+exist; `dataclasses.replace` builds, and so checks, too.
+
 Files hold one `key = value` pair per line; blank lines and lines starting
 with # are skipped. Unknown keys are rejected rather than ignored so typos
 cannot silently fall back to defaults.
@@ -35,6 +38,9 @@ class Config:
     excitation: bool = True
     edge_fusion: bool = True    # edge-similarity route (needs excitation)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "Config":
         for f in fields(self):
             _check_type(f.name, getattr(self, f.name))
@@ -54,7 +60,11 @@ class Config:
             raise ConfigError("encoder_depth must be >= 4")
         if not 0 <= self.fold <= 2:
             raise ConfigError("fold must be 0, 1 or 2")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        try:
+            lr_ok = math.isfinite(self.learning_rate) and self.learning_rate >= 0
+        except OverflowError:  # an int beyond the float range
+            lr_ok = False
+        if not lr_ok:
             raise ConfigError("learning_rate must be finite and >= 0, got %r"
                               % self.learning_rate)
         if not 0 <= self.momentum < 1:
@@ -67,7 +77,7 @@ class Config:
         return asdict(self)
 
     def with_overrides(self, **kw) -> "Config":
-        return replace(self, **kw).validate()
+        return replace(self, **kw)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -107,7 +117,7 @@ def parse_config(text: str) -> Config:
                 values[key] = float(raw)
         except ValueError as e:
             raise ConfigError("line %d: key %r: %s" % (lineno, key, e)) from e
-    return Config(**values).validate()
+    return Config(**values)
 
 
 def load_config(path) -> Config:
@@ -140,4 +150,4 @@ def config_from_dict(d: dict) -> Config:
     unknown = set(d) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
-    return Config(**d).validate()
+    return Config(**d)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, check_int, config_from_dict
 from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
                        sample_episode)
-from .errors import (ConfigError, DimensionError, FormatError, TrainingError,
-                     ValidationError)
+from .errors import DimensionError, FormatError, TrainingError, ValidationError
 from .fusion import bce_loss, binarize
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
@@ -28,6 +26,8 @@ CHECKPOINT_FORMAT = "protoseg-checkpoint"
 # Bumped whenever the header or the parameter layout changes; load_network
 # accepts only this version.
 CHECKPOINT_VERSION = 3
+# Central-difference step of the gradient audit, in float64.
+GRADCHECK_EPS = 1e-6
 
 ABLATION_ROWS: tuple[tuple[str, dict], ...] = (
     ("reasoning", dict(graph_reasoning=True, excitation=False, edge_fusion=False)),
@@ -130,7 +130,6 @@ def train(config: Config, out_dir=None,
     accumulation, one checkpoint per epoch when out_dir is given. Episodes
     are drawn inline: a training step keeps its CPU busy, and a forked
     render worker took turns with it on that CPU instead of overlapping."""
-    config.validate()
     net = FewShotSegmenter(config)
     split = default_split(config)
     opt = SGD(net.parameters(), config.learning_rate, config.momentum)
@@ -173,22 +172,11 @@ def train(config: Config, out_dir=None,
 # evaluation
 
 
-def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
-             fold: Optional[int] = None, k: Optional[int] = None,
+def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
              episodes: int = 60, seed: Optional[int] = None) -> EvalReport:
-    """Run frozen-weight inference over held-fold episodes."""
-    if isinstance(source, FewShotSegmenter):
-        net = source
-    else:
-        net, _ = load_network(source)
+    """Run frozen-weight inference over episodes of the fold the network's
+    config held out."""
     cfg = net.config
-    if fold is None:
-        fold = cfg.fold
-    check_int("fold", fold)
-    if fold != cfg.fold:
-        raise ConfigError(
-            "these weights held out fold %d; evaluating fold %d would mix "
-            "training classes into the test set" % (cfg.fold, fold))
     if k is None:
         k = cfg.k_shot
     check_int("episodes", episodes, 1)
@@ -216,7 +204,7 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
             per_class[ep.class_id].append(score)
             fbs.append(fb_iou(pred, ep.masks[-1]))
     return EvalReport(
-        fold=fold, k_shot=k, episodes=episodes,
+        fold=cfg.fold, k_shot=k, episodes=episodes,
         miou=miou(pairs, split.test_class_ids),
         fb_iou=float(np.mean(fbs)),
         parameter_count=net.parameter_count(),
@@ -230,18 +218,18 @@ def evaluate(source: Union[str, os.PathLike, FewShotSegmenter],
 
 
 def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
-           progress: Optional[Callable[[str, dict], None]] = None) -> list[dict]:
+           progress: Optional[Callable[[str, dict, TrainResult], None]] = None
+           ) -> list[dict]:
     """Train and evaluate the six branch-toggle combinations under shared
-    seeds, fold split, and episode streams."""
-    config.validate()
+    seeds, fold split, and episode streams. progress(label, row, result)
+    also receives each row's TrainResult."""
     check_int("eval_episodes", eval_episodes, 1)
     rows = []
     for label, toggles in ABLATION_ROWS:
         row_config = config.with_overrides(**toggles)
         row_dir = Path(out_dir) / label.replace("+", "_") if out_dir else None
         result = train(row_config, out_dir=row_dir)
-        report = evaluate(result.network, fold=row_config.fold,
-                          k=row_config.k_shot, episodes=eval_episodes,
+        report = evaluate(result.network, episodes=eval_episodes,
                           seed=derive_seed(config.seed, "ablate-eval"))
         row = {
             "row": label,
@@ -256,7 +244,7 @@ def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
         }
         rows.append(row)
         if progress is not None:
-            progress(label, row)
+            progress(label, row, result)
     return rows
 
 
@@ -282,7 +270,7 @@ def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> Tensor
     return Tensor(data.astype(np.float64))
 
 
-def gradcheck_model(config: Config, eps: float = 1e-6,
+def gradcheck_model(config: Config,
                     max_coords_per_param: int = 8) -> dict[str, float]:
     """Worst relative gradient error per module and for the full pipeline,
     measured in float64 on a small 1-shot episode."""
@@ -302,15 +290,17 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
     grid = net.grid
     results: dict[str, float] = {}
 
+    def check(function, params) -> float:
+        return grad_check(function, params, eps=GRADCHECK_EPS,
+                          max_coords_per_param=max_coords_per_param)
+
     image = episode.images[-1].astype(np.float64)
 
     def encoder_scalar():
         out = net.encoder(image)
         return ad.tensor_mean(ad.mul(out, out))
 
-    results["encoder"] = grad_check(
-        encoder_scalar, net.encoder.parameters(), eps=eps,
-        max_coords_per_param=max_coords_per_param)
+    results["encoder"] = check(encoder_scalar, net.encoder.parameters())
 
     x_s = _random_descriptors(toy.channels, grid, toy.seed, "support")
     x_q = _random_descriptors(toy.channels, grid, toy.seed, "query")
@@ -319,9 +309,7 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         out = net.reasoning(x_s, x_q)
         return ad.tensor_mean(ad.mul(out, out))
 
-    results["reasoning"] = grad_check(
-        reasoning_scalar, net.reasoning.parameters(), eps=eps,
-        max_coords_per_param=max_coords_per_param)
+    results["reasoning"] = check(reasoning_scalar, net.reasoning.parameters())
 
     rng = derive_rng(toy.seed, "gradcheck", "grid")
     grid_mask = (rng.random((grid, grid)) < 0.4).astype(np.float64)
@@ -332,23 +320,17 @@ def gradcheck_model(config: Config, eps: float = 1e-6,
         out = net.excitation(x_s, grid_mask, x_q)
         return ad.tensor_mean(ad.mul(out, out))
 
-    results["excitation"] = grad_check(
-        excitation_scalar, net.excitation.parameters(), eps=eps,
-        max_coords_per_param=max_coords_per_param)
+    results["excitation"] = check(excitation_scalar,
+                                  net.excitation.parameters())
 
     main = _random_descriptors(toy.channels, grid, toy.seed, "main")
     aux = _random_descriptors(toy.channels, grid, toy.seed, "aux")
     target = (derive_rng(toy.seed, "gradcheck", "target")
               .random((toy.image_size,) * 2) < 0.3).astype(np.float64)
-    results["fusion"] = grad_check(
-        lambda: bce_loss(net.head(main, aux), target),
-        net.head.parameters(), eps=eps,
-        max_coords_per_param=max_coords_per_param)
-
-    results["pipeline"] = grad_check(
-        lambda: net.episode_loss(episode),
-        net.parameters(), eps=eps,
-        max_coords_per_param=max_coords_per_param)
+    results["fusion"] = check(lambda: bce_loss(net.head(main, aux), target),
+                              net.head.parameters())
+    results["pipeline"] = check(lambda: net.episode_loss(episode),
+                                net.parameters())
     return results
 
 

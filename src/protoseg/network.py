@@ -24,7 +24,6 @@ class FewShotSegmenter:
     """1-way K-shot segmentation network driven by a Config."""
 
     def __init__(self, config: Config, dtype=np.float32):
-        config.validate()
         self.config = config
         self.dtype = dtype
         self.grid = g = config.image_size // STRIDE

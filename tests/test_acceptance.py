@@ -346,14 +346,19 @@ def echo_runs():
     runs = {}
     for seed in ECHO_SEEDS:
         cfg = DESK.with_overrides(seed=seed)
-        result = train(cfg)
+        # The full-model row's config equals cfg, so its training is the
+        # one train(cfg) would run, byte for byte.
+        trained = {}
+        rows = ablate(cfg, eval_episodes=EVAL_EPISODES,
+                      progress=lambda label, row, result:
+                      trained.setdefault(label, result))
+        result = trained["reasoning+excitation+edges"]
         untrained = evaluate(FewShotSegmenter(cfg), k=1,
                              episodes=EVAL_EPISODES, seed=EVAL_SEED)
         trained_k1 = evaluate(result.network, k=1,
                               episodes=EVAL_EPISODES, seed=EVAL_SEED)
         trained_k5 = evaluate(result.network, k=5,
                               episodes=EVAL_EPISODES, seed=EVAL_SEED)
-        rows = ablate(cfg, eval_episodes=EVAL_EPISODES)
         runs[seed] = dict(losses=result.losses, untrained=untrained.miou,
                           k1=trained_k1.miou, k5=trained_k5.miou, rows=rows)
     runs["elapsed"] = time.monotonic() - start

@@ -74,14 +74,15 @@ def test_conv_rejects_even_kernel():
     x = t64(np.zeros((2, 5, 5)))
     w = t64(np.zeros((3, 2, 4, 4)))
     with pytest.raises(ConfigError):
-        ad.conv2d(x, w)
+        ad.conv2d(x, w, t64(np.zeros(3)))
 
 
 def test_conv1d_rejects_weight_not_of_rank_2():
     # (3, 2, 1) is the pointwise weight layout of checkpoint version 2.
     for shape in [(3, 2, 1), (3, 2, 3), (2,), (1, 3, 2, 1)]:
         with pytest.raises(DimensionError, match=r"weight \(c_out, c_in\)"):
-            ad.conv1d(t64(np.zeros((2, 5))), t64(np.zeros(shape)))
+            ad.conv1d(t64(np.zeros((2, 5))), t64(np.zeros(shape)),
+                      t64(np.zeros(3)))
 
 
 @pytest.mark.parametrize("bias_shape", [(3, 1), (3, 1, 1)])
@@ -512,8 +513,10 @@ def test_conv2d_input_grad_matches_scatter_oracle(x_shape, w_shape, stride,
     rng = np.random.default_rng(sum(x_shape) + 10 * sum(w_shape) + stride)
     x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
     w = Tensor(rng.normal(size=w_shape).astype(dtype), requires_grad=True)
+    # A bias does not change x.grad, which is all the oracle compares.
+    b = Tensor(np.zeros(w_shape[0], dtype=dtype), requires_grad=True)
     with Tape() as tape:
-        y = ad.conv2d(x, w, stride=stride)
+        y = ad.conv2d(x, w, b, stride=stride)
         g = rng.normal(size=y.shape).astype(dtype)
         out = ad.tensor_sum(ad.mul(y, Tensor(g)))
     backward(tape, out)

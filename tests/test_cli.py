@@ -1,5 +1,8 @@
 """End-to-end command flow through main(argv)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,22 @@ def test_report_describes_checkpoint(trained_ckpt, capsys):
     text = capsys.readouterr().out
     assert "format = protoseg-checkpoint" in text
     assert "config_image_size = 16" in text
+
+
+def test_report_huge_learning_rate_is_config_error(trained_ckpt, capsys):
+    # A header value beyond the float range is one error line, not a
+    # traceback from inside the config check.
+    path = Path(trained_ckpt)
+    line, _, records = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["config"]["learning_rate"] = 10 ** 400
+    path.write_bytes(json.dumps(header).encode() + b"\n" + records)
+    for argv in (["report", "--ckpt", trained_ckpt],
+                 ["eval", "--ckpt", trained_ckpt, "--fold", "0"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error = ConfigError: learning_rate")
+        assert err.count("\n") == 1
 
 
 def test_gradcheck_passes_and_prints_modules(capsys):

@@ -1,5 +1,7 @@
 """Config parsing and validation."""
 
+import dataclasses
+
 import pytest
 
 from protoseg.config import Config, config_from_dict, load_config, parse_config
@@ -84,6 +86,20 @@ def test_learning_rate_must_be_finite(value):
         with pytest.raises(ConfigError) as err:
             build()
         assert "learning_rate" in str(err.value)
+
+
+def test_config_checks_itself_when_built():
+    # No Config that breaks a rule can exist, whichever way it is made.
+    with pytest.raises(ConfigError, match="reduction"):
+        Config(channels=30, reduction=4)
+    with pytest.raises(ConfigError, match="fold"):
+        dataclasses.replace(Config(), fold=3)
+
+
+def test_huge_integer_learning_rate_is_config_error():
+    # math.isfinite raises OverflowError on an int beyond the float range.
+    with pytest.raises(ConfigError, match="learning_rate"):
+        config_from_dict({"learning_rate": 10 ** 400})
 
 
 def test_with_overrides_revalidates():

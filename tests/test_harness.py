@@ -384,10 +384,9 @@ def test_load_network_requires_every_config_key(tmp_path, key):
     cfg = TINY.with_overrides(fold=1, edge_fusion=False)
     path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(cfg), 0, 0)
     _edit_header(path, lambda header: header["config"].pop(key))
-    for load in (load_network, lambda p: evaluate(p, episodes=1)):
-        with pytest.raises(FormatError) as err:
-            load(path)
-        assert str(err.value) == "config: missing keys ['%s']" % key
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value) == "config: missing keys ['%s']" % key
 
 
 def test_load_network_rejects_mistyped_config_value(tmp_path):
@@ -405,7 +404,7 @@ def test_load_network_rejects_mistyped_config_value(tmp_path):
 def test_evaluate_ground_truth_hook_scores_one():
     net = FewShotSegmenter(TINY)
     scored = _score_as(net, lambda ep: ep.masks[-1])
-    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
+    report = evaluate(net, k=1, episodes=30, seed=5)
     assert report.miou == pytest.approx(1.0)
     assert report.fb_iou == pytest.approx(1.0)
     assert report.episodes == 30
@@ -416,24 +415,8 @@ def test_evaluate_ground_truth_hook_scores_one():
 def test_evaluate_all_ones_hook_matches_fg_rate():
     net = FewShotSegmenter(TINY)
     _score_as(net, lambda ep: np.ones((16, 16), dtype=np.float32))
-    report = evaluate(net, fold=TINY.fold, k=1, episodes=30, seed=5)
+    report = evaluate(net, k=1, episodes=30, seed=5)
     assert 0.0 < report.miou < 0.7  # fg fractions live in [0.02, 0.6]
-
-
-def test_evaluate_rejects_other_fold(tmp_path):
-    result = train(TINY, out_dir=tmp_path)
-    with pytest.raises(ConfigError):
-        evaluate(result.checkpoints[-1], fold=(TINY.fold + 1) % 3,
-                 k=1, episodes=10, seed=0)
-
-
-def test_evaluate_accepts_checkpoint_path(tmp_path):
-    result = train(TINY, out_dir=tmp_path)
-    report = evaluate(result.checkpoints[-1], fold=TINY.fold, k=1,
-                      episodes=30, seed=7)
-    assert np.isfinite(report.miou)
-    assert np.isfinite(report.mean_loss)
-    assert report.parameter_count == result.network.parameter_count()
 
 
 def test_evaluate_raises_on_diverged_network():
@@ -442,18 +425,17 @@ def test_evaluate_raises_on_diverged_network():
     with pytest.raises(ValidationError,
                        match=r"episode 0 \(episode seed %d\)"
                        % derive_seed(2, "eval", 0)):
-        evaluate(net, fold=TINY.fold, k=1, episodes=6, seed=2)
+        evaluate(net, k=1, episodes=6, seed=2)
     assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("name, value", [
     ("k", 2.0), ("k", True), ("episodes", True), ("episodes", 30.0),
-    ("fold", True), ("fold", 1.0),
 ])
 def test_evaluate_rejects_non_integer_arguments(name, value):
-    # fold=True equals fold 1 and k=True equals K=1; neither may pass as one.
+    # k=True equals K=1; it may not pass as one.
     net = FewShotSegmenter(TINY.with_overrides(fold=1))
-    args = dict(fold=1, k=1, episodes=30, seed=0)
+    args = dict(k=1, episodes=30, seed=0)
     args[name] = value
     with pytest.raises(ConfigError, match="^%s: " % name):
         evaluate(net, **args)
@@ -462,8 +444,8 @@ def test_evaluate_rejects_non_integer_arguments(name, value):
 
 def test_evaluate_deterministic():
     net = FewShotSegmenter(TINY)
-    a = evaluate(net, fold=TINY.fold, k=1, episodes=20, seed=3)
-    b = evaluate(net, fold=TINY.fold, k=1, episodes=20, seed=3)
+    a = evaluate(net, k=1, episodes=20, seed=3)
+    b = evaluate(net, k=1, episodes=20, seed=3)
     assert a.to_dict() == b.to_dict()
 
 
@@ -483,6 +465,20 @@ def test_ablate_runs_six_rows():
     text = render_ablation(rows)
     assert text.count("row = ") == 6
     assert "json = " in text
+
+
+def test_ablate_progress_receives_each_rows_training():
+    # TINY enables every branch, so the full-model row trains TINY itself.
+    seen = {}
+    ablate(TINY, eval_episodes=25,
+           progress=lambda label, row, result: seen.setdefault(label, result))
+    assert list(seen) == [label for label, _ in harness.ABLATION_ROWS]
+    row = seen["reasoning+excitation+edges"]
+    alone = train(TINY)
+    assert row.losses == alone.losses
+    for a, b in zip(row.network.parameters(), alone.network.parameters(),
+                    strict=True):
+        assert a.name == b.name and a.data.tobytes() == b.data.tobytes()
 
 
 def test_ablate_rejects_eval_episodes_before_training(monkeypatch, tmp_path):
