@@ -121,7 +121,10 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError("%s: not UTF-8 at byte offset %d" % (path, e.start)) from e
 
 
 def check_int(name: str, value, least: int | None = None) -> None:

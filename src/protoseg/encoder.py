@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Parameter, Tensor
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import (ConfigError, DegenerateEpisodeError, DimensionError,
+                     ValidationError)
 
 
 def to_descriptors(fmap: Tensor) -> Tensor:
@@ -119,3 +120,19 @@ def kshot_average(features: Sequence[Tensor]) -> Tensor:
     for f in feats[1:]:
         total = ad.add(total, f)
     return ad.mul(total, 1.0 / len(feats))
+
+
+def masked_avg_pool(x: Tensor, grid: np.ndarray) -> Tensor:
+    """Average (c, l) foreground descriptors into a (c, 1) guidance vector:
+    the sum over foreground cells divided by the foreground cell count."""
+    if grid.ndim != 2 or grid.size != x.shape[1]:
+        raise DimensionError("grid %s does not match descriptors %s"
+                             % (grid.shape, x.shape))
+    check_binary(grid, "feature grid")
+    fg = float(grid.sum())
+    if fg == 0.0:
+        raise DegenerateEpisodeError("support mask has no foreground at feature "
+                                     "resolution")
+    summed = ad.tensor_sum(ad.mul(x, grid.reshape(1, grid.size)), axis=1,
+                           keepdims=True)
+    return ad.mul(summed, 1.0 / fg)

@@ -1,9 +1,9 @@
 """Feature-space excitation of query descriptors by support guidance.
 
-The support foreground is average-pooled into one guidance vector that gates
-the query channel-wise. The gated map then passes channel and spatial
-attention. Optionally an edge route concatenates the global query/support
-descriptor cosine field and fuses it back down to c channels.
+The query is gated channel-wise by the (c, 1) guidance vector it is given,
+which the network pools from the support foreground. The gated map then
+passes channel and spatial attention. Optionally an edge route concatenates
+the global query/support cosine field and fuses it back down to c channels.
 """
 
 from __future__ import annotations
@@ -12,27 +12,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
-from .encoder import check_binary, from_descriptors, to_descriptors
-from .errors import ConfigError, DegenerateEpisodeError, DimensionError
+from .encoder import from_descriptors, to_descriptors
+from .errors import ConfigError, DimensionError
 from .reasoning import COSINE_EPS, NORM_SQ_EPS
 
 SPATIAL_KERNEL = 7          # width of the spatial attention conv
-
-
-def masked_avg_pool(x: Tensor, grid: np.ndarray) -> Tensor:
-    """Average (c, l) foreground descriptors into a (c, 1) guidance vector:
-    the sum over foreground cells divided by the foreground cell count."""
-    if grid.ndim != 2 or grid.size != x.shape[1]:
-        raise DimensionError("grid %s does not match descriptors %s"
-                             % (grid.shape, x.shape))
-    check_binary(grid, "feature grid")
-    fg = float(grid.sum())
-    if fg == 0.0:
-        raise DegenerateEpisodeError("support mask has no foreground at feature "
-                                     "resolution")
-    summed = ad.tensor_sum(ad.mul(x, grid.reshape(1, grid.size)), axis=1,
-                           keepdims=True)
-    return ad.mul(summed, 1.0 / fg)
 
 
 def guide(pooled: Tensor, x_q: Tensor) -> Tensor:
@@ -113,10 +97,8 @@ class FeatureExcitation(Module):
         stacked = ad.concat([p_e, d], axis=0)
         return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
-    def __call__(self, x_s: Tensor, support_grid: np.ndarray,
-                 x_q: Tensor) -> Tensor:
-        pooled = masked_avg_pool(x_s, support_grid)
-        excited = self.channel_attention(guide(pooled, x_q))
+    def __call__(self, x_s: Tensor, guidance: Tensor, x_q: Tensor) -> Tensor:
+        excited = self.channel_attention(guide(guidance, x_q))
         excited = self.spatial_attention(excited)
         if self.edge_fusion:
             return self.fuse_edges(excited, edge_similarity(x_q, x_s))

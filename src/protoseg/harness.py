@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, check_int, config_from_dict
+from .encoder import masked_avg_pool
 from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
                        sample_episode)
 from .errors import DimensionError, FormatError, TrainingError, ValidationError
@@ -317,7 +318,7 @@ def gradcheck_model(config: Config,
         grid_mask[0, 0] = 1.0
 
     def excitation_scalar():
-        out = net.excitation(x_s, grid_mask, x_q)
+        out = net.excitation(x_s, masked_avg_pool(x_s, grid_mask), x_q)
         return ad.tensor_mean(ad.mul(out, out))
 
     results["excitation"] = check(excitation_scalar,

@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor
 from .config import Config
 from .encoder import (STRIDE, Encoder, apply_mask, kshot_average,
-                      mask_to_feature_grid, to_descriptors)
+                      mask_to_feature_grid, masked_avg_pool, to_descriptors)
 from .episodes import Episode
 from .errors import DegenerateEpisodeError, DimensionError
 from .excitation import FeatureExcitation
@@ -42,13 +42,8 @@ class FewShotSegmenter:
     # -- parameter bookkeeping ----------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params = list(self.encoder.parameters())
-        if self.reasoning is not None:
-            params.extend(self.reasoning.parameters())
-        if self.excitation is not None:
-            params.extend(self.excitation.parameters())
-        params.extend(self.head.parameters())
-        return params
+        modules = (self.encoder, self.reasoning, self.excitation, self.head)
+        return [p for m in modules if m is not None for p in m.parameters()]
 
     def parameter_dict(self) -> dict[str, Parameter]:
         out: dict[str, Parameter] = {}
@@ -59,7 +54,7 @@ class FewShotSegmenter:
         return out
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(self.module_parameter_counts().values())
 
     def module_parameter_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -106,9 +101,9 @@ class FewShotSegmenter:
         # K is free at inference; config.k_shot only steers episode sampling.
         image = episode.images[-1].astype(self.dtype, copy=False)
         x_q = to_descriptors(self.encoder(image))
-        x_s, union_grid = self.encode_support(episode)
+        x_s, union = self.encode_support(episode)
         main = self.reasoning(x_s, x_q) if self.reasoning is not None else x_q
-        aux = (self.excitation(x_s, union_grid, x_q)
+        aux = (self.excitation(x_s, masked_avg_pool(x_s, union), x_q)
                if self.excitation is not None else x_q)
         return self.head(main, aux)
 

@@ -27,10 +27,9 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor
 from protoseg.config import Config
 from protoseg.encoder import (apply_mask, from_descriptors, kshot_average,
-                              to_descriptors)
+                              masked_avg_pool, to_descriptors)
 from protoseg.episodes import default_classes, make_folds, sample_episode
-from protoseg.excitation import (FeatureExcitation, edge_similarity,
-                                 masked_avg_pool)
+from protoseg.excitation import FeatureExcitation, edge_similarity
 from protoseg.fusion import bce_loss
 from protoseg.harness import ablate, evaluate, gradcheck_model, train
 from protoseg.metrics import fb_iou, iou, miou

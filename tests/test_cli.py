@@ -141,3 +141,12 @@ def test_bad_config_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error = ConfigError:")
     assert "line 2" in err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"image_size = 16\nseed = \xff\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error = ConfigError: %s: not UTF-8 at byte offset 23\n" % path

@@ -323,7 +323,8 @@ def test_stream_reports_a_worker_that_died(monkeypatch):
 
 def test_stream_worker_ignores_interrupt():
     # Ctrl-C signals the whole process group; the caller stops the worker.
-    with EpisodeStream(SPLIT, "test", 1, [0, 1], 32) as stream:
+    with EpisodeStream(SPLIT, "test", 1, range(episodes._SLOTS + 2),
+                       32) as stream:
         sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
         (worker,) = multiprocessing.active_children()
         os.kill(worker.pid, signal.SIGINT)

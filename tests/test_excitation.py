@@ -7,8 +7,8 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
 from protoseg.errors import (ConfigError, DegenerateEpisodeError,
                              DimensionError, ValidationError)
-from protoseg.excitation import (FeatureExcitation, edge_similarity, guide,
-                                 masked_avg_pool)
+from protoseg.encoder import masked_avg_pool
+from protoseg.excitation import FeatureExcitation, edge_similarity, guide
 
 from oracles import naive_edge_cosine, naive_masked_pool
 
@@ -171,11 +171,24 @@ def test_call_routes_both_configurations():
     grid = (np.random.default_rng(19).random((4, 4)) > 0.5).astype(np.float64)
     if grid.sum() == 0:
         grid[0, 0] = 1.0
-    with_edges = make_branch(edges=True)(xs, grid, xq)
-    without = make_branch(edges=False)(xs, grid, xq)
+    guidance = masked_avg_pool(xs, grid)
+    with_edges = make_branch(edges=True)(xs, guidance, xq)
+    without = make_branch(edges=False)(xs, guidance, xq)
     assert with_edges.shape == (8, 16)
     assert without.shape == (8, 16)
     assert not np.array_equal(with_edges.data, without.data)
+
+
+def test_call_gates_by_the_given_guidance():
+    # Zero weights make both attention gates sigmoid(0) = 0.5, so the
+    # output is the query scaled channel-wise by the guidance, then by 1/4.
+    br = make_branch(edges=False)
+    for p in br.parameters():
+        p.data[:] = 0.0
+    xs = rand_ds(8, 4, 4, 23)
+    xq = rand_ds(8, 4, 4, 24)
+    g = Tensor(np.random.default_rng(25).normal(size=(8, 1)))
+    assert np.array_equal(br(xs, g, xq).data, xq.data * g.data * 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +202,7 @@ def test_branch_gradients():
     grid = np.array([[1.0, 0.0], [1.0, 1.0]])
 
     def f():
-        out = br(xs, grid, xq)
+        out = br(xs, masked_avg_pool(xs, grid), xq)
         return ad.tensor_mean(ad.mul(out, out))
 
     err = grad_check(f, br.parameters(), eps=1e-6, max_coords_per_param=6)

@@ -175,8 +175,9 @@ def test_branch_rejects_descriptors_off_its_grid(branch):
         if branch == "reasoning":
             GraphReasoning(8, 4, 1, grid=2, seed=0)(x, x)
         else:
+            guidance = Tensor(np.ones((8, 1), dtype=np.float32))
             FeatureExcitation(8, 4, grid=2, edge_fusion=True,
-                              seed=0)(x, np.ones((3, 3), dtype=np.float32), x)
+                              seed=0)(x, guidance, x)
 
 
 def test_load_parameter_arrays_round_trip():
