@@ -14,8 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Parameter, Tensor
-from .errors import (ConfigError, DegenerateEpisodeError, DimensionError,
-                     ValidationError)
+from .errors import DegenerateEpisodeError, DimensionError, ValidationError
 
 
 def to_descriptors(fmap: Tensor) -> Tensor:
@@ -44,9 +43,6 @@ class Encoder(Module):
 
     def __init__(self, in_channels: int, out_channels: int, width: int,
                  depth: int, seed: int, dtype=np.float32):
-        if depth < 4:
-            raise ConfigError("encoder depth must be >= 4 so both stride-2 "
-                              "blocks exist, got %d" % depth)
         super().__init__(seed, dtype)
         self.in_channels = in_channels
         # (weight, bias, stride) per block

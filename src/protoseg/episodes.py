@@ -1,6 +1,5 @@
 """Synthetic surface-defect classes, deterministic sample rendering, and
-episodic sampling over class folds, inline or ahead in a worker process
-that hands episodes over through shared-memory slots.
+episodic sampling over class folds.
 
 Twelve procedurally defined classes cycle through three shape families
 (scratches, patches, pit clusters), each with its own background texture and
@@ -15,15 +14,14 @@ import functools
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bilinear import bilinear_matrix
 from .config import check_int
 from .encoder import STRIDE, mask_to_feature_grid
-from .errors import (ConfigError, DegenerateEpisodeError, ProtosegError,
-                     UsageError)
+from .errors import ConfigError, DegenerateEpisodeError
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -33,9 +31,6 @@ FG_MAX = 0.60
 _SHAPE_RETRIES = 12
 _GRID_RETRIES = 8
 _CLASS_TABLE_SEED = 0xC1A55
-# Shared-memory slots of an EpisodeStream: the worker renders into one
-# while the caller copies out of another, up to three episodes ahead.
-_SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -377,51 +372,21 @@ def _class_table() -> Mapping[int, DefectClass]:
 
 
 def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
-                   image_size: int = 64,
-                   ahead: Optional["EpisodeStream"] = None) -> Episode:
+                   image_size: int = 64) -> Episode:
     """Draw one episode: a class uniformly from the requested fold role, K
     support pairs and one query pair with independent substyles and warps.
 
     Samples whose mask vanishes at feature-grid resolution are redrawn (with
     a log line) so downstream pooling always sees foreground.
-
-    With `ahead`, the episode is the next one of that stream, which must
-    have been opened for these arguments with `seed` next in line; it is
-    the same episode, byte for byte, as the inline draw.
     """
-    if ahead is not None:
-        return ahead.take(split, role, k, seed, image_size)
     _check_request(role, k, image_size)
-    run = np.empty(_run_length(k, image_size), np.float32)
-    images, masks = _episode_views(run, k, image_size)
-    class_id = _render(images, masks, split, role, seed)
-    return Episode(class_id, images, masks, seed)
-
-
-def _run_length(k: int, image_size: int) -> int:
-    """Floats in an episode's run: K+1 3-channel images, then K+1 masks."""
-    return (k + 1) * 4 * image_size * image_size
-
-
-def _episode_views(run: np.ndarray, k: int, image_size: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The `(K+1, 3, S, S)` images and `(K+1, S, S)` masks of an episode
-    laid out in one flat float32 run, images first."""
-    images, masks = np.split(run, [(k + 1) * 3 * image_size * image_size])
-    return (images.reshape(k + 1, 3, image_size, image_size),
-            masks.reshape(k + 1, image_size, image_size))
-
-
-def _render(images: np.ndarray, masks: np.ndarray, split: FoldSplit,
-            role: str, seed: int) -> int:
-    """Render the episode `seed` of `role` into `images` and `masks`,
-    supports first, and return its class id."""
     table = _class_table()
     pool = split.train_class_ids if role == "train" else split.test_class_ids
     for cid in pool:
         if cid not in table:
             raise ConfigError("fold references unknown class id %d" % cid)
-    k, image_size = len(images) - 1, images.shape[-1]
+    images = np.empty((k + 1, 3, image_size, image_size), np.float32)
+    masks = np.empty((k + 1, image_size, image_size), np.float32)
     grid = image_size // STRIDE
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
@@ -447,137 +412,4 @@ def _render(images: np.ndarray, masks: np.ndarray, split: FoldSplit,
             raise DegenerateEpisodeError(
                 "episode %d: %s sample kept an empty feature grid after %d "
                 "draws" % (seed, which, _GRID_RETRIES))
-    return cls.class_id
-
-
-class EpisodeStream:
-    """The episodes for `seeds`, in order, rendered ahead of the caller by a
-    forked worker process while the caller computes on earlier ones. Take
-    them with `sample_episode(..., ahead=stream)`.
-
-    Every episode of a stream is one float32 run of the same length, fixed
-    by `(k, image_size)`, so the worker renders them straight into an
-    anonymous shared map of `_SLOTS` such runs: episode `i` goes to slot
-    `i % _SLOTS`. The caller and the worker share one duplex pipe. The
-    worker sends each episode's class id once its slot is written, and
-    before it reuses a slot it waits for a one-byte release from the
-    caller. `take` copies the slot once, releases it, and builds the
-    `Episode` from views of that private copy, so no view of the shared
-    map leaves the stream.
-
-    An exception raised while rendering is sent pickled instead and raised
-    again by `take`, at the same episode. Use the stream as a context
-    manager: leaving it terminates and joins the worker and closes the
-    pipe and the map. It needs the `fork` start method; a spawned worker
-    would import numpy and the package again for every stream.
-    """
-
-    def __init__(self, split: FoldSplit, role: str, k: int,
-                 seeds: Sequence[int], image_size: int):
-        # Imported here: it costs more than a fork and join, and callers
-        # that never stream should not pay it at import.
-        import mmap
-        import multiprocessing
-
-        # Checked here, not by the worker, because they size the map.
-        _check_request(role, k, image_size)
-        self._request = (split, role, k, image_size)
-        self._seeds = list(seeds)
-        self._taken = 0
-        # Mapped before the fork, so the worker writes the pages the caller
-        # reads.
-        self._map = mmap.mmap(-1, _SLOTS * _run_length(k, image_size) * 4)
-        self._slab = np.frombuffer(self._map, np.float32).reshape(_SLOTS, -1)
-        ctx = multiprocessing.get_context("fork")
-        self._conn, worker_end = ctx.Pipe()
-        self._worker = ctx.Process(
-            target=_render_ahead, daemon=True,
-            args=(self._conn, worker_end, self._slab, split, role, k,
-                  self._seeds, image_size))
-        try:
-            self._worker.start()
-        finally:
-            worker_end.close()
-
-    def take(self, split: FoldSplit, role: str, k: int, seed: int,
-             image_size: int) -> Episode:
-        """The next episode; the arguments must be the ones it was rendered
-        for."""
-        if self._map.closed:
-            raise UsageError("episode stream is closed")
-        i = self._taken
-        if i == len(self._seeds):
-            raise UsageError("episode stream is exhausted after %d episodes"
-                             % i)
-        want = self._request + (self._seeds[i],)
-        if (split, role, k, image_size, seed) != want:
-            raise UsageError(
-                "episode stream renders episode %d as %r, not %r"
-                % (i, want[1:], (role, k, image_size, seed)))
-        try:
-            item = self._conn.recv()
-        except EOFError:
-            self._worker.join()
-            raise ProtosegError(
-                "episode worker exited with code %s before episode %d "
-                "(seed %d)" % (self._worker.exitcode, i, seed)) from None
-        self._taken += 1
-        if isinstance(item, Exception):
-            raise item
-        run = self._slab[i % _SLOTS].copy()
-        if i + _SLOTS < len(self._seeds):
-            try:
-                self._conn.send_bytes(b"\0")
-            except BrokenPipeError:
-                # The worker has stopped. What it sent first is still in
-                # the pipe; the take that runs past it says why.
-                pass
-        images, masks = _episode_views(run, k, image_size)
-        return Episode(item, images, masks, seed)
-
-    def close(self) -> None:
-        """Stop the worker and release every descriptor and the map;
-        closing again does nothing."""
-        if self._map.closed:
-            return
-        # Terminated before the pipe closes, so the worker never fails a
-        # send to a closed pipe.
-        self._worker.terminate()
-        self._worker.join()
-        self._worker.close()
-        self._conn.close()
-        # The map refuses to close while an array still exports it.
-        self._slab = None
-        self._map.close()
-
-    def __enter__(self) -> "EpisodeStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _render_ahead(caller_end, conn, slab: np.ndarray, split: FoldSplit,
-                  role: str, k: int, seeds: Sequence[int],
-                  image_size: int) -> None:
-    """Worker body: render each episode into its slot and send its class
-    id, or send the first exception and stop."""
-    import signal  # loaded already, by multiprocessing
-
-    # With the fork's copy of the caller's end closed, a caller gone even by
-    # SIGKILL ends a wait for a release (EOFError) and the next send kills
-    # the worker quietly (SIGPIPE).
-    caller_end.close()
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    # Ctrl-C reaches the whole process group; the caller stops the worker.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for i, seed in enumerate(seeds):
-        try:
-            if i >= _SLOTS:
-                conn.recv_bytes()
-            images, masks = _episode_views(slab[i % _SLOTS], k, image_size)
-            class_id = _render(images, masks, split, role, seed)
-        except Exception as exc:
-            conn.send(exc)
-            return
-        conn.send(class_id)
+    return Episode(cls.class_id, images, masks, seed)

@@ -48,9 +48,6 @@ class FeatureExcitation(Module):
 
     def __init__(self, channels: int, reduction: int, grid: int,
                  edge_fusion: bool, seed: int, dtype=np.float32):
-        if channels % reduction:
-            raise ConfigError("channels (%d) must divide by the reduction "
-                              "ratio (%d)" % (channels, reduction))
         super().__init__(seed, dtype)
         self.channels = channels
         self.hidden = channels // reduction

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -14,9 +15,9 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, check_int, config_from_dict
 from .encoder import masked_avg_pool
-from .episodes import (EpisodeStream, FoldSplit, default_classes, make_folds,
-                       sample_episode)
-from .errors import DimensionError, FormatError, TrainingError, ValidationError
+from .episodes import FoldSplit, default_classes, make_folds, sample_episode
+from .errors import (DimensionError, FormatError, ProtosegError, TrainingError,
+                     ValidationError)
 from .fusion import bce_loss, binarize
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
@@ -128,9 +129,8 @@ class TrainResult:
 def train(config: Config, out_dir=None,
           progress: Optional[Callable[[int, float], None]] = None) -> TrainResult:
     """Episodic training: two episodes per optimizer step via gradient
-    accumulation, one checkpoint per epoch when out_dir is given. Episodes
-    are drawn inline: a training step keeps its CPU busy, and a forked
-    render worker took turns with it on that CPU instead of overlapping."""
+    accumulation, one checkpoint per epoch when out_dir is given. Training
+    runs in one process and draws each episode inline."""
     net = FewShotSegmenter(config)
     split = default_split(config)
     opt = SGD(net.parameters(), config.learning_rate, config.momentum)
@@ -176,34 +176,42 @@ def train(config: Config, out_dir=None,
 def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
              episodes: int = 60, seed: Optional[int] = None) -> EvalReport:
     """Run frozen-weight inference over episodes of the fold the network's
-    config held out."""
+    config held out.
+
+    The caller and one forked helper process score the episodes between
+    them (`_share_episodes`). The report sums the scores in episode order,
+    so it is the same, bit for bit, as one process scoring them in turn.
+    """
     cfg = net.config
     if k is None:
         k = cfg.k_shot
+    check_int("k", k, 1)
     check_int("episodes", episodes, 1)
     eval_seed = cfg.seed if seed is None else seed
     split = default_split(cfg)
+    seeds = [derive_seed(eval_seed, "eval", i) for i in range(episodes)]
+
+    def score(i: int) -> tuple[int, float, float, float]:
+        ep = sample_episode(split, "test", k, seeds[i], cfg.image_size)
+        probabilities = net.forward(ep)
+        target = ep.masks[-1].astype(net.dtype, copy=False)
+        loss = bce_loss(probabilities, target).item()
+        if not np.isfinite(loss):
+            raise ValidationError("non-finite loss at evaluation episode "
+                                  "%d (episode seed %d)" % (i, seeds[i]))
+        pred = binarize(probabilities)
+        return (ep.class_id, iou(pred, ep.masks[-1]),
+                fb_iou(pred, ep.masks[-1]), loss)
+
     per_class: dict[int, list[float]] = defaultdict(list)
     pairs: list[tuple[int, float]] = []
     fbs: list[float] = []
     loss_values: list[float] = []
-    seeds = [derive_seed(eval_seed, "eval", i) for i in range(episodes)]
-    with EpisodeStream(split, "test", k, seeds, cfg.image_size) as stream:
-        for i, ep_seed in enumerate(seeds):
-            ep = sample_episode(split, "test", k, ep_seed, cfg.image_size,
-                                ahead=stream)
-            probabilities = net.forward(ep)
-            target = ep.masks[-1].astype(net.dtype, copy=False)
-            loss = bce_loss(probabilities, target).item()
-            if not np.isfinite(loss):
-                raise ValidationError("non-finite loss at evaluation episode "
-                                      "%d (episode seed %d)" % (i, ep_seed))
-            loss_values.append(loss)
-            pred = binarize(probabilities)
-            score = iou(pred, ep.masks[-1])
-            pairs.append((ep.class_id, score))
-            per_class[ep.class_id].append(score)
-            fbs.append(fb_iou(pred, ep.masks[-1]))
+    for class_id, score_iou, score_fb, loss in _share_episodes(score, episodes):
+        pairs.append((class_id, score_iou))
+        per_class[class_id].append(score_iou)
+        fbs.append(score_fb)
+        loss_values.append(loss)
     return EvalReport(
         fold=cfg.fold, k_shot=k, episodes=episodes,
         miou=miou(pairs, split.test_class_ids),
@@ -212,6 +220,98 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
         per_class_iou={c: float(np.mean(v)) for c, v in per_class.items()},
         mean_loss=float(np.mean(loss_values)),
     )
+
+
+def _share_episodes(score: Callable[[int], tuple], count: int) -> list[tuple]:
+    """[score(0), ..., score(count - 1)], computed by the caller and one
+    forked helper process on both CPUs, or the exception of the lowest
+    index that raised.
+
+    Each process claims the next index from a counter in an anonymous
+    shared map, under a lock, and scores it; splitting by episode rather
+    than by stage keeps both busy whatever an episode's stages cost. A
+    process stops at its first failing index and exhausts the counter, so
+    every lower index has been scored when both stop. The helper sends its
+    results once over a one-way pipe. It ignores SIGINT (Ctrl-C reaches
+    the whole process group, and the caller stops it), and it stops when
+    its caller is gone, even by SIGKILL. The caller terminates and joins
+    it on return or raise; nothing is left holding a descriptor. It needs
+    the `fork` start method: a spawned helper would import numpy and the
+    package again for every call, and could not receive `score`.
+    """
+    # Imported here: it costs more than a fork and join, and callers that
+    # never evaluate should not pay it at import.
+    import mmap
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    lock = ctx.Lock()
+    reader, writer = ctx.Pipe(duplex=False)
+    caller = os.getpid()
+    with mmap.mmap(-1, 8) as counter, reader:
+        helper = ctx.Process(target=_help, daemon=True,
+                             args=(reader, writer, counter, lock, score,
+                                   count, caller))
+        with writer:
+            helper.start()
+        try:
+            mine, my_error = _claim_and_score(counter, lock, score, count,
+                                              helper.is_alive)
+            try:
+                theirs, their_error = reader.recv()
+            except EOFError:
+                helper.join()
+                raise ProtosegError("evaluation helper exited with code %s"
+                                    % helper.exitcode) from None
+        finally:
+            helper.terminate()
+            helper.join()
+            helper.close()
+    errors = [e for e in (my_error, their_error) if e is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [row for _, row in sorted(mine + theirs, key=lambda r: r[0])]
+
+
+def _claim_and_score(counter, lock, score, count, alive
+                     ) -> tuple[list, Optional[tuple[int, Exception]]]:
+    """Score claimed indices until the counter runs out or `alive()` says
+    the other process is gone. Returns the (index, result) pairs and the
+    first failure as (index, exception)."""
+    done = []
+    while alive():
+        # A timeout, so a process killed while holding the lock cannot
+        # hold up the other for good.
+        while not lock.acquire(timeout=1.0):
+            if not alive():
+                return done, None
+        i = int.from_bytes(counter, "little")
+        counter[:] = (i + 1).to_bytes(8, "little")
+        lock.release()
+        if i >= count:
+            break
+        try:
+            done.append((i, score(i)))
+        except Exception as exc:
+            with lock:
+                counter[:] = count.to_bytes(8, "little")
+            return done, (i, exc)
+    return done, None
+
+
+def _help(reader, writer, counter, lock, score, count: int,
+          caller: int) -> None:
+    """Helper body: claim and score episodes, then send what it did."""
+    import signal  # loaded already, by multiprocessing
+
+    # With the fork's copy of the caller's end closed, a send to a caller
+    # gone even by SIGKILL ends the helper quietly (SIGPIPE).
+    reader.close()
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # An orphan is re-parented, so its parent id changes.
+    writer.send(_claim_and_score(counter, lock, score, count,
+                                 lambda: os.getppid() == caller))
 
 
 # ---------------------------------------------------------------------------

@@ -18,28 +18,37 @@ from .encoder import check_binary
 from .errors import DimensionError, IncompleteEvaluationError
 
 
-def _as_binary(x, what: str) -> np.ndarray:
-    return check_binary(x, what) != 0
+def _counts(pred, target) -> tuple[int, np.int64, np.int64]:
+    """Pixel count, intersection and union of two binary masks of one
+    shape."""
+    p = check_binary(pred, "prediction") != 0
+    t = check_binary(target, "target") != 0
+    if p.shape != t.shape:
+        raise DimensionError("prediction %s and target %s differ"
+                             % (p.shape, t.shape))
+    return p.size, np.logical_and(p, t).sum(), np.logical_or(p, t).sum()
+
+
+def _ratio(intersection, union) -> float:
+    """IoU from counts; two empty masks agree perfectly (1.0)."""
+    if union == 0:
+        return 1.0
+    return float(intersection / union)
 
 
 def iou(pred, target) -> float:
     """Intersection over union; two empty masks agree perfectly (1.0)."""
-    p = _as_binary(pred, "prediction")
-    t = _as_binary(target, "target")
-    if p.shape != t.shape:
-        raise DimensionError("prediction %s and target %s differ"
-                             % (p.shape, t.shape))
-    union = np.logical_or(p, t).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(p, t).sum() / union)
+    _, intersection, union = _counts(pred, target)
+    return _ratio(intersection, union)
 
 
 def fb_iou(pred, target) -> float:
-    """Mean of the foreground IoU and the background IoU."""
-    p = _as_binary(pred, "prediction")
-    t = _as_binary(target, "target")
-    return 0.5 * (iou(p, t) + iou(~p, ~t))
+    """Mean of the foreground IoU and the background IoU. The background
+    pixels both masks share are the ones outside the foreground union, and
+    those either one marks are the ones outside the intersection."""
+    n, intersection, union = _counts(pred, target)
+    return 0.5 * (_ratio(intersection, union)
+                  + _ratio(n - union, n - intersection))
 
 
 def miou(per_episode: Iterable[tuple[int, float]],

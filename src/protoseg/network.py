@@ -21,7 +21,8 @@ from .reasoning import GraphReasoning
 
 
 class FewShotSegmenter:
-    """1-way K-shot segmentation network driven by a Config."""
+    """1-way K-shot segmentation network driven by a Config. The modules
+    take their sizes from it unchecked: `Config` owns every rule on them."""
 
     def __init__(self, config: Config, dtype=np.float32):
         self.config = config

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .encoder import from_descriptors, to_descriptors
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 
 STANDARDIZE_EPS = 1e-5
 
@@ -80,10 +80,6 @@ class GraphReasoning(Module):
 
     def __init__(self, channels: int, proto_dim: int, gcn_depth: int,
                  grid: int, seed: int, dtype=np.float32):
-        if proto_dim < 2:
-            raise ConfigError("proto_dim must be >= 2, got %d" % proto_dim)
-        if gcn_depth < 1:
-            raise ConfigError("gcn_depth must be >= 1, got %d" % gcn_depth)
         super().__init__(seed, dtype)
         self.channels = channels
         self.grid = grid

@@ -96,6 +96,26 @@ def test_config_checks_itself_when_built():
         dataclasses.replace(Config(), fold=3)
 
 
+# The module sizes are Config's rules alone: a module is only built from a
+# Config, which cannot exist unless it keeps them.
+def test_config_rejects_shallow_encoder():
+    # Both stride-2 blocks need four blocks.
+    with pytest.raises(ConfigError, match="^encoder_depth must be >= 4$"):
+        Config(encoder_depth=3)
+
+
+def test_config_rejects_bad_reasoning_dims():
+    with pytest.raises(ConfigError, match="^proto_dim must be >= 2$"):
+        Config(proto_dim=1)
+    with pytest.raises(ConfigError, match="^gcn_depth must be positive$"):
+        Config(gcn_depth=0)
+
+
+def test_config_rejects_channels_off_the_reduction():
+    with pytest.raises(ConfigError, match="^channels must divide by reduction$"):
+        Config(channels=6, reduction=4)
+
+
 def test_huge_integer_learning_rate_is_config_error():
     # math.isfinite raises OverflowError on an int beyond the float range.
     with pytest.raises(ConfigError, match="learning_rate"):

@@ -8,7 +8,7 @@ from protoseg.autodiff import Tensor
 from protoseg.encoder import (Encoder, apply_mask, from_descriptors,
                               kshot_average, mask_to_feature_grid,
                               to_descriptors)
-from protoseg.errors import ConfigError, DimensionError, ValidationError
+from protoseg.errors import DimensionError, ValidationError
 
 
 def rand_image(size=16, seed=0, dtype=np.float32):
@@ -20,11 +20,6 @@ def test_encoder_output_geometry():
     enc = Encoder(3, 8, width=4, depth=4, seed=0)
     fmap = enc(rand_image(16))
     assert fmap.shape == (8, 4, 4)  # two stride-2 blocks: 16 -> 8 -> 4
-
-
-def test_encoder_rejects_shallow_depth():
-    with pytest.raises(ConfigError):
-        Encoder(3, 8, width=4, depth=3, seed=0)
 
 
 def test_encoder_rejects_indivisible_input():

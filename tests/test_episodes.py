@@ -3,22 +3,16 @@
 import hashlib
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoseg import episodes
 from protoseg.episodes import (DefectClass, DistortionParams, Episode,
-                               EpisodeStream, FoldSplit, _paint_discs,
-                               default_classes, generate_sample, make_folds,
-                               sample_episode, warp_mask)
-from protoseg.errors import (ConfigError, DegenerateEpisodeError,
-                             ProtosegError, UsageError)
+                               _paint_discs, default_classes, generate_sample,
+                               make_folds, sample_episode, warp_mask)
+from protoseg.errors import ConfigError, DegenerateEpisodeError
+from protoseg.harness import _share_episodes
 
 from oracles import naive_paint_discs
 
@@ -247,9 +241,6 @@ def test_shot_count_and_size_must_be_integers(name, k, size):
     # k=True would otherwise run K=1, and 2.0 or 32.0 fail inside numpy.
     with pytest.raises(ConfigError, match="^%s: " % name):
         sample_episode(SPLIT, "train", k, 0, size)
-    with pytest.raises(ConfigError, match="^%s: " % name):
-        EpisodeStream(SPLIT, "train", k, [0], size)
-    assert not multiprocessing.active_children()
 
 
 # Every episode the golden set renders, hashed in order. Rendering must stay
@@ -287,155 +278,23 @@ def _fingerprint(ep):
 @pytest.mark.parametrize("k", (1, 5))
 @pytest.mark.parametrize("role", ("train", "test"))
 def test_stream_matches_inline_sampling(role, k, size):
-    seeds = [100 * k + size + i for i in range(3)]
-    with EpisodeStream(SPLIT, role, k, seeds, size) as stream:
-        for seed in seeds:
-            got = sample_episode(SPLIT, role, k, seed, size, ahead=stream)
-            assert _fingerprint(got) == _fingerprint(
-                sample_episode(SPLIT, role, k, seed, size))
+    # Episodes drawn by evaluation's forked helper are the ones one process
+    # draws inline: sampling depends on the seed alone, not on the process.
+    seeds = [100 * k + size + i for i in range(4)]
+    caller = os.getpid()
+
+    def draw(i):
+        if os.getpid() == caller:
+            time.sleep(0.05)  # so the helper surely draws a share
+        ep = sample_episode(SPLIT, role, k, seeds[i], size)
+        return os.getpid(), _fingerprint(ep)
+
+    rows = _share_episodes(draw, len(seeds))
+    assert len({pid for pid, _ in rows} - {caller}) == 1
+    assert [fp for _, fp in rows] == [
+        _fingerprint(sample_episode(SPLIT, role, k, seed, size))
+        for seed in seeds]
     assert not multiprocessing.active_children()
-
-
-def test_stream_rejects_request_out_of_order():
-    with EpisodeStream(SPLIT, "train", 1, [3, 4], 32) as stream:
-        with pytest.raises(UsageError, match="episode 0"):
-            sample_episode(SPLIT, "train", 1, 4, 32, ahead=stream)
-        with pytest.raises(UsageError):
-            sample_episode(SPLIT, "test", 1, 3, 32, ahead=stream)
-        with pytest.raises(UsageError):
-            sample_episode(SPLIT, "train", 2, 3, 32, ahead=stream)
-        # A refused request takes nothing off the stream.
-        for seed in (3, 4):
-            got = sample_episode(SPLIT, "train", 1, seed, 32, ahead=stream)
-            assert _fingerprint(got) == _fingerprint(
-                sample_episode(SPLIT, "train", 1, seed, 32))
-        with pytest.raises(UsageError, match="exhausted"):
-            sample_episode(SPLIT, "train", 1, 5, 32, ahead=stream)
-
-
-def test_stream_reports_a_worker_that_died(monkeypatch):
-    monkeypatch.setattr(episodes, "_render", lambda *args: os._exit(3))
-    with EpisodeStream(SPLIT, "test", 1, [0, 1], 32) as stream:
-        with pytest.raises(ProtosegError, match="exited with code 3"):
-            sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
-    assert not multiprocessing.active_children()
-
-
-def test_stream_worker_ignores_interrupt():
-    # Ctrl-C signals the whole process group; the caller stops the worker.
-    with EpisodeStream(SPLIT, "test", 1, range(episodes._SLOTS + 2),
-                       32) as stream:
-        sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
-        (worker,) = multiprocessing.active_children()
-        os.kill(worker.pid, signal.SIGINT)
-        got = sample_episode(SPLIT, "test", 1, 1, 32, ahead=stream)
-        assert _fingerprint(got) == _fingerprint(
-            sample_episode(SPLIT, "test", 1, 1, 32))
-
-
-def test_stream_left_early_stops_its_worker():
-    with EpisodeStream(SPLIT, "test", 5, range(20), 64) as stream:
-        sample_episode(SPLIT, "test", 5, 0, 64, ahead=stream)
-        assert len(multiprocessing.active_children()) == 1
-    assert not multiprocessing.active_children()
-
-
-class _SlowCopy(np.ndarray):
-    """An array whose copy waits first, long enough for a worker that was
-    let into the slot being copied to overwrite it."""
-
-    def copy(self, order="C"):
-        time.sleep(0.05)
-        return super().copy(order)
-
-
-@pytest.mark.parametrize("k, size", ((5, 64), (1, 32)))
-def test_stream_episodes_outlive_slot_reuse(k, size):
-    # Nine episodes through three slots write each slot three times;
-    # episodes kept until the stream has closed must still be the inline
-    # draws.
-    seeds = [40 * k + size + i for i in range(9)]
-    with EpisodeStream(SPLIT, "test", k, seeds, size) as stream:
-        stream._slab = stream._slab.view(_SlowCopy)
-        taken = [sample_episode(SPLIT, "test", k, seed, size, ahead=stream)
-                 for seed in seeds]
-    for seed, got in zip(seeds, taken):
-        assert _fingerprint(got) == _fingerprint(
-            sample_episode(SPLIT, "test", k, seed, size))
-
-
-def test_closed_stream_refuses_take():
-    with EpisodeStream(SPLIT, "test", 1, [0, 1], 32) as stream:
-        sample_episode(SPLIT, "test", 1, 0, 32, ahead=stream)
-    with pytest.raises(UsageError, match="^episode stream is closed$"):
-        sample_episode(SPLIT, "test", 1, 1, 32, ahead=stream)
-
-
-@pytest.mark.parametrize("k, size", ((-1, 32), (1, 0)))
-def test_stream_refuses_request_it_cannot_size(k, size):
-    with pytest.raises(ConfigError):
-        EpisodeStream(SPLIT, "test", k, [0, 1], size)
-    assert not multiprocessing.active_children()
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="counts descriptors in /proc/self/fd")
-def test_closed_streams_hold_no_descriptors():
-    before = len(os.listdir("/proc/self/fd"))
-    kept = []
-    for seed in range(5):
-        with EpisodeStream(SPLIT, "test", 1, [seed, seed + 1], 32) as stream:
-            sample_episode(SPLIT, "test", 1, seed, 32, ahead=stream)
-        stream.close()  # a second close does nothing
-        kept.append(stream)
-    assert len(os.listdir("/proc/self/fd")) == before
-
-
-_KILLED_CALLER = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-from protoseg.episodes import EpisodeStream, make_folds
-split = make_folds(tuple(range(12)), seed=0, test_fold=0)
-stream = EpisodeStream(split, "test", 1, range(200), 32)
-print(stream._worker.pid, flush=True)
-time.sleep(60)
-"""
-
-
-def _exited(pid):
-    """Whether pid is gone or a zombie; an orphan's new parent need not
-    reap it."""
-    try:
-        with open("/proc/%d/stat" % pid) as f:
-            stat = f.read()
-    except FileNotFoundError:
-        return True
-    return stat.rpartition(")")[2].split()[0] == "Z"
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="reads the worker's state in /proc")
-def test_stream_worker_exits_when_its_caller_is_killed():
-    # A SIGKILLed caller runs no cleanup; only its pipe can tell the
-    # worker, which by then has filled every slot and waits for a release.
-    src = str(Path(episodes.__file__).resolve().parent.parent)
-    child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src],
-                             stdout=subprocess.PIPE, text=True)
-    try:
-        worker = int(child.stdout.readline())
-        time.sleep(0.5)
-        child.kill()
-        child.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while not _exited(worker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if not _exited(worker):
-            os.kill(worker, signal.SIGKILL)
-            pytest.fail("worker %d outlived its killed caller by 10 s" % worker)
-    finally:
-        child.kill()
-        child.wait()
-        child.stdout.close()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -108,11 +108,6 @@ def make_branch(channels=8, reduction=4, grid=4, edges=True, seed=0):
                              dtype=np.float64)
 
 
-def test_construction_validates_reduction():
-    with pytest.raises(ConfigError):
-        make_branch(channels=6, reduction=4)
-
-
 def test_channel_attention_zero_weights_halve():
     br = make_branch()
     for p in (br.squeeze_w, br.squeeze_b, br.expand_w, br.expand_b):

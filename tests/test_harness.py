@@ -1,10 +1,14 @@
 """Optimizer, training loop, checkpoints, evaluation, ablation."""
 
+import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +16,16 @@ import pytest
 
 import protoseg
 import protoseg.harness as harness
-from protoseg import episodes
 from protoseg.autodiff import Parameter, Tensor
 from protoseg.config import Config
 from protoseg.episodes import FoldSplit, sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
-                             TrainingError, ValidationError)
+                             ProtosegError, TrainingError, ValidationError)
+from protoseg.fusion import bce_loss, binarize
 from protoseg.harness import (SGD, ablate, default_split, evaluate,
                               gradcheck_model, load_network, model_report,
                               render_ablation, save_checkpoint, train)
+from protoseg.metrics import EvalReport, fb_iou, iou, miou
 from protoseg.network import FewShotSegmenter
 from protoseg.seeding import derive_seed
 from protoseg.storage import read_checkpoint, write_checkpoint
@@ -31,16 +36,32 @@ TINY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
 
 
 def _score_as(net, probabilities):
-    """Make net.forward predict probabilities(episode) and return the list
-    of episode seeds it is called on."""
-    scored = []
+    """Make net.forward predict probabilities(episode)."""
+    net.forward = lambda ep: Tensor(probabilities(ep))
 
-    def forward(ep):
-        scored.append(ep.seed)
-        return Tensor(probabilities(ep))
 
-    net.forward = forward
-    return scored
+def _reference_report(net, k, episodes, seed):
+    """evaluate's report as one process computes it: each episode drawn,
+    forwarded and scored in turn."""
+    cfg = net.config
+    split = default_split(cfg)
+    per_class, pairs, fbs, losses = defaultdict(list), [], [], []
+    for i in range(episodes):
+        ep = sample_episode(split, "test", k, derive_seed(seed, "eval", i),
+                            cfg.image_size)
+        probabilities = net.forward(ep)
+        losses.append(bce_loss(probabilities,
+                               ep.masks[-1].astype(net.dtype)).item())
+        pred = binarize(probabilities)
+        pairs.append((ep.class_id, iou(pred, ep.masks[-1])))
+        per_class[ep.class_id].append(pairs[-1][1])
+        fbs.append(fb_iou(pred, ep.masks[-1]))
+    return EvalReport(
+        fold=cfg.fold, k_shot=k, episodes=episodes,
+        miou=miou(pairs, split.test_class_ids), fb_iou=float(np.mean(fbs)),
+        parameter_count=net.parameter_count(),
+        per_class_iou={c: float(np.mean(v)) for c, v in per_class.items()},
+        mean_loss=float(np.mean(losses)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +192,30 @@ def test_unknown_class_in_split_fails_training(monkeypatch):
 
 
 def test_render_error_surfaces_at_its_episode(monkeypatch):
-    seeds = [derive_seed(3, "eval", i) for i in range(5)]
-    render = episodes._render
-
-    def failing(images, masks, split, role, seed):
-        if seed == seeds[3]:
-            raise DegenerateEpisodeError("empty grid (seed %d)" % seed)
-        return render(images, masks, split, role, seed)
-
-    # The worker forks after the patch and renders through it.
-    monkeypatch.setattr(episodes, "_render", failing)
+    # Episodes j and j+1 both fail, each with its own message. Whichever
+    # process reaches either first, the call raises episode j's error, the
+    # one a single loop over the episodes would raise.
+    seeds = [derive_seed(3, "eval", i) for i in range(8)]
     net = FewShotSegmenter(TINY)
-    scored = _score_as(net, lambda ep: ep.masks[-1])
-    with pytest.raises(DegenerateEpisodeError,
-                       match=r"^empty grid \(seed %d\)$" % seeds[3]):
-        evaluate(net, k=1, episodes=5, seed=3)
-    assert scored == seeds[:3]
-    assert not multiprocessing.active_children()
+    _score_as(net, lambda ep: ep.masks[-1])
+    caller = os.getpid()
+    # One process is slowed, so the other claims most episodes meanwhile
+    # and some j falls to the slow one while the fast one fails at j+1.
+    for j, slow_caller in itertools.product(range(len(seeds) - 1),
+                                            (True, False)):
+        def failing(split, role, k, seed, image_size, j=j, slow=slow_caller):
+            if (os.getpid() == caller) == slow:
+                time.sleep(0.05)
+            if seed in (seeds[j], seeds[j + 1]):
+                raise DegenerateEpisodeError("empty grid (seed %d)" % seed)
+            return sample_episode(split, role, k, seed, image_size)
+
+        # The helper forks after the patch and draws through it.
+        monkeypatch.setattr(harness, "sample_episode", failing)
+        with pytest.raises(DegenerateEpisodeError,
+                           match=r"^empty grid \(seed %d\)$" % seeds[j]):
+            evaluate(net, k=1, episodes=len(seeds), seed=3)
+        assert not multiprocessing.active_children()
 
 
 def test_seed_outside_32_bits_is_refused():
@@ -200,7 +228,7 @@ def test_seed_outside_32_bits_is_refused():
 
 
 def test_import_does_not_load_multiprocessing():
-    # An episode stream imports multiprocessing and mmap when it opens; a
+    # evaluate imports multiprocessing and mmap when it forks its helper; a
     # fresh interpreter's import of the package stays without them, and so
     # does a training, which draws its episodes inline.
     training = ("from protoseg.config import Config; "
@@ -401,15 +429,24 @@ def test_load_network_rejects_mistyped_config_value(tmp_path):
 # evaluation
 
 
-def test_evaluate_ground_truth_hook_scores_one():
+def test_evaluate_ground_truth_hook_scores_one(tmp_path):
+    log = tmp_path / "scored"
+
+    def truth(ep):
+        # Appended to by both processes, one short line per episode.
+        with open(log, "a") as f:
+            f.write("%d\n" % ep.seed)
+        return ep.masks[-1]
+
     net = FewShotSegmenter(TINY)
-    scored = _score_as(net, lambda ep: ep.masks[-1])
+    _score_as(net, truth)
     report = evaluate(net, k=1, episodes=30, seed=5)
     assert report.miou == pytest.approx(1.0)
     assert report.fb_iou == pytest.approx(1.0)
     assert report.episodes == 30
     assert set(report.per_class_iou) == set(default_split(TINY).test_class_ids)
-    assert scored == [derive_seed(5, "eval", i) for i in range(30)]
+    assert sorted(map(int, log.read_text().split())) == sorted(
+        derive_seed(5, "eval", i) for i in range(30))
 
 
 def test_evaluate_all_ones_hook_matches_fg_rate():
@@ -447,6 +484,169 @@ def test_evaluate_deterministic():
     a = evaluate(net, k=1, episodes=20, seed=3)
     b = evaluate(net, k=1, episodes=20, seed=3)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("k", (1, 5))
+def test_evaluate_matches_a_single_process_loop(k, tmp_path):
+    # However the two processes split the episodes, the report sums them
+    # in episode order: every float equals the single-process loop's. (At
+    # 16 px the scores are too uniform for the order to show.)
+    net = train(TINY.with_overrides(image_size=32)).network
+    want = _reference_report(net, k, 24, 7).to_dict()
+    log, forward, caller = tmp_path / "pids", net.forward, os.getpid()
+
+    def paced(ep):
+        with open(log, "a") as f:
+            f.write("%d\n" % os.getpid())
+        if os.getpid() == caller:
+            time.sleep(0.005)  # so the helper surely takes a share
+        return forward(ep)
+
+    net.forward = paced
+    assert evaluate(net, k=k, episodes=24, seed=7).to_dict() == want
+    assert evaluate(net, k=k, episodes=24, seed=7).to_dict() == want
+    assert len(set(log.read_text().split())) == 3  # caller, one helper each
+
+
+@pytest.mark.parametrize("k", (0, -1))
+def test_evaluate_checks_its_request_before_forking(monkeypatch, k):
+    def fork():
+        raise AssertionError("evaluate forked before checking k")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ConfigError, match="^k must be >= 1, got %d$" % k):
+        evaluate(FewShotSegmenter(TINY), k=k, episodes=3)
+
+
+def test_evaluate_reports_a_helper_that_died(monkeypatch):
+    caller = os.getpid()
+
+    def sample(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.01)  # leaves the helper episodes to claim
+        return sample_episode(*args)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+    with pytest.raises(ProtosegError, match="^evaluation helper exited with "
+                                            "code 3$"):
+        evaluate(FewShotSegmenter(TINY), k=1, episodes=30, seed=0)
+    assert not multiprocessing.active_children()
+
+
+def _ignores(pid, signum):
+    """Whether process pid ignores signal signum, from /proc."""
+    with open("/proc/%d/status" % pid) as f:
+        for line in f:
+            if line.startswith("SigIgn:"):
+                return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the helper's signal dispositions in /proc")
+def test_evaluate_helper_ignores_interrupt(monkeypatch):
+    # Ctrl-C signals the whole process group; the caller stops the helper.
+    net = FewShotSegmenter(TINY)
+    want = evaluate(net, k=1, episodes=40, seed=4).to_dict()
+    caller = os.getpid()
+    signalled = []
+
+    def sample(*args):
+        if os.getpid() != caller:
+            time.sleep(0.005)  # keeps the helper busy past the signal
+        elif not signalled:
+            (helper,) = multiprocessing.active_children()
+            deadline = time.monotonic() + 10
+            while not _ignores(helper.pid, signal.SIGINT):
+                if time.monotonic() > deadline:
+                    pytest.fail("helper did not come to ignore SIGINT")
+                time.sleep(0.001)
+            os.kill(helper.pid, signal.SIGINT)
+            signalled.append(helper.pid)
+        return sample_episode(*args)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+    # A helper stopped by the signal would end the call in a ProtosegError.
+    assert evaluate(net, k=1, episodes=40, seed=4).to_dict() == want
+    assert signalled
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_evaluate_leaves_no_helper_or_descriptor():
+    net = FewShotSegmenter(TINY)
+    diverged = FewShotSegmenter(TINY)
+    diverged.head.cls_b.data[:] = np.nan
+    before = len(os.listdir("/proc/self/fd"))
+    for call in range(5):
+        if call % 2:
+            with pytest.raises(ValidationError):
+                evaluate(diverged, k=1, episodes=6, seed=call)
+        else:
+            evaluate(net, k=1, episodes=6, seed=call)
+        assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+_KILLED_CALLER = """
+import multiprocessing, os, sys, time
+sys.path.insert(0, sys.argv[1])
+from protoseg import harness
+from protoseg.config import Config
+from protoseg.network import FewShotSegmenter
+caller, sample = os.getpid(), harness.sample_episode
+
+def hold(*args):
+    # The caller names its helper and waits to be killed; the helper has
+    # minutes of episodes left to claim.
+    if os.getpid() == caller:
+        (helper,) = multiprocessing.active_children()
+        print(helper.pid, flush=True)
+        time.sleep(60)
+    time.sleep(0.01)
+    return sample(*args)
+
+harness.sample_episode = hold
+net = FewShotSegmenter(Config(image_size=16, channels=8, proto_dim=4,
+                              encoder_width=4, reduction=4))
+harness.evaluate(net, k=1, episodes=20000, seed=0)
+"""
+
+
+def _exited(pid):
+    """Whether pid is gone or a zombie; an orphan's new parent need not
+    reap it."""
+    try:
+        with open("/proc/%d/stat" % pid) as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the helper's state in /proc")
+def test_evaluate_helper_exits_when_its_caller_is_killed():
+    # A SIGKILLed caller runs no cleanup; the helper sees it re-parented.
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        helper = int(child.stdout.readline())
+        time.sleep(0.5)
+        child.kill()
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not _exited(helper) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not _exited(helper):
+            os.kill(helper, signal.SIGKILL)
+            pytest.fail("helper %d outlived its killed caller by 10 s" % helper)
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
 
 
 # ---------------------------------------------------------------------------

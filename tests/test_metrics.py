@@ -72,6 +72,22 @@ def test_fb_iou_all_background():
     assert fb_iou(z, z) == 1.0
 
 
+def test_fb_iou_is_the_mean_of_both_ious_bit_for_bit():
+    # fb_iou derives the background counts from the foreground ones; the
+    # float it returns must be the one the two IoUs give computed apart.
+    rng = np.random.default_rng(11)
+    empty, full = np.zeros((16, 16)), np.ones((16, 16))
+    pairs = [(empty, empty), (full, full), (empty, full), (full, empty)]
+    for _ in range(40):
+        p, t = rng.random((2, 16, 16)) < rng.random((2, 1, 1))
+        pairs.append((p.astype(np.float32), t.astype(np.float32)))
+    for p, t in pairs:
+        pb, tb = p != 0, t != 0
+        assert fb_iou(p, t) == 0.5 * (iou(pb, tb) + iou(~pb, ~tb))
+    with pytest.raises(DimensionError):
+        fb_iou(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
 def test_miou_is_class_balanced_not_pooled():
     # class 1: episodes 1.0 and 0.0 -> 0.5; class 2: one episode 0.0 -> 0.0
     # nested mean = 0.25; a pooled mean over episodes would say 1/3.

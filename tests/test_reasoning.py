@@ -5,7 +5,7 @@ import pytest
 
 import protoseg.autodiff as ad
 from protoseg.autodiff import Parameter, Tensor, grad_check
-from protoseg.errors import ConfigError, DimensionError, ValidationError
+from protoseg.errors import DimensionError, ValidationError
 from protoseg.reasoning import (GraphReasoning, build_adjacency, gcn_forward,
                                 normalized_laplacian)
 
@@ -164,10 +164,6 @@ def test_branch_shapes_and_param_names():
 
 
 def test_branch_rejects_bad_dims():
-    with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=1, gcn_depth=2, grid=2, seed=0)
-    with pytest.raises(ConfigError):
-        GraphReasoning(channels=8, proto_dim=4, gcn_depth=0, grid=2, seed=0)
     br = GraphReasoning(channels=8, proto_dim=4, gcn_depth=1, grid=2, seed=0)
     with pytest.raises(DimensionError):
         br.project(rand_ds(4, 2, 2, 0))
