@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -129,44 +130,173 @@ class TrainResult:
 def train(config: Config, out_dir=None,
           progress: Optional[Callable[[int, float], None]] = None) -> TrainResult:
     """Episodic training: two episodes per optimizer step via gradient
-    accumulation, one checkpoint per epoch when out_dir is given. Training
-    runs in one process and draws each episode inline."""
+    accumulation, one checkpoint per epoch when out_dir is given.
+
+    A step's two episodes run on two CPUs: the caller draws, forwards and
+    backwards the first while a helper process, forked once per call, does
+    the same for the second against the same weights (`_StepHelper`). The
+    caller then adds the helper's gradient onto its own and steps SGD. The
+    batch-1 tail step of an odd episodes_per_epoch runs in the caller
+    alone. Losses, weights and checkpoints are the same, bit for bit, as
+    one process running the episodes in turn.
+    """
     net = FewShotSegmenter(config)
     split = default_split(config)
     opt = SGD(net.parameters(), config.learning_rate, config.momentum)
+
+    def run_episode(index: int, epoch: int, batch: int) -> float:
+        """Draw, forward and backward one episode; returns its loss."""
+        ep_seed = derive_seed(config.seed, "train", index)
+        episode = sample_episode(split, "train", config.k_shot, ep_seed,
+                                 config.image_size)
+        with Tape() as tape:
+            loss = net.episode_loss(episode)
+            scaled = ad.mul(loss, 1.0 / batch)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(
+                "non-finite loss at training episode %d (episode seed %d, "
+                "epoch %d)" % (index, ep_seed, epoch))
+        ad.backward(tape, scaled)
+        return value
+
     losses: list[float] = []
     checkpoints: list[Path] = []
     episode_index = 0
-    for epoch in range(config.epochs):
-        epoch_losses = []
-        remaining = config.episodes_per_epoch
-        while remaining:
-            batch = min(2, remaining)
-            remaining -= batch
-            opt.zero_grad()
-            for _ in range(batch):
-                ep_seed = derive_seed(config.seed, "train", episode_index)
-                episode = sample_episode(split, "train", config.k_shot,
-                                         ep_seed, config.image_size)
-                with Tape() as tape:
-                    loss = net.episode_loss(episode)
-                    scaled = ad.mul(loss, 1.0 / batch)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        "non-finite loss at training episode %d (episode "
-                        "seed %d, epoch %d)" % (episode_index, ep_seed, epoch))
-                ad.backward(tape, scaled)
-                losses.append(value)
-                epoch_losses.append(value)
-                episode_index += 1
-            opt.step()
-        if out_dir is not None:
-            path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
-            checkpoints.append(save_checkpoint(path, net, epoch, episode_index))
-        if progress is not None:
-            progress(epoch, float(np.mean(epoch_losses)))
+    with _StepHelper.forked(net.parameters(), run_episode) as helper:
+        for epoch in range(config.epochs):
+            epoch_losses = []
+            remaining = config.episodes_per_epoch
+            while remaining:
+                batch = min(2, remaining)
+                remaining -= batch
+                opt.zero_grad()
+                if batch == 2:
+                    helper.start(episode_index + 1, epoch)
+                epoch_losses.append(run_episode(episode_index, epoch, batch))
+                if batch == 2:
+                    epoch_losses.append(helper.add_gradient())
+                opt.step()
+                episode_index += batch
+            losses.extend(epoch_losses)
+            if out_dir is not None:
+                path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
+                checkpoints.append(save_checkpoint(path, net, epoch,
+                                                   episode_index))
+            if progress is not None:
+                progress(epoch, float(np.mean(epoch_losses)))
     return TrainResult(network=net, losses=losses, checkpoints=checkpoints)
+
+
+class _StepHelper:
+    """The helper half of `train`'s two-episode steps.
+
+    While `forked` is open, the parameters live in one anonymous shared
+    map, which SGD updates in place, so the helper always computes with
+    the caller's weights. `start(i, epoch)` has the helper run episode i;
+    `add_gradient()` waits for it and adds its gradient onto the caller's.
+
+    A parameter used twice in one episode gets two gradient pieces, and
+    `autodiff._accumulate` adds them one at a time. Float addition does
+    not associate, so adding the sum of the helper's pieces could differ
+    in the last bit from one process adding them in turn. So the helper
+    sets a `_PieceLog` where each parameter's gradient would be, and
+    backward hands it every raw piece in backward order. The helper writes
+    the pieces to an in-memory file (memfd), which grows to fit however
+    many there are; the caller reads them back one at a time and
+    accumulates them in that order.
+    """
+
+    def __init__(self, params: list[Parameter], run_episode, pieces: int):
+        self.params = params
+        self.run_episode = run_episode
+        self.pieces = pieces            # the in-memory file's descriptor
+        self.helper: Optional[_Helper] = None
+
+    @classmethod
+    @contextmanager
+    def forked(cls, params: list[Parameter], run_episode):
+        import mmap
+
+        offsets, size = [], 0
+        for p in params:
+            offsets.append(size)
+            size += -(-p.data.nbytes // 64) * 64  # 64-byte aligned views
+        shared = np.frombuffer(mmap.mmap(-1, size), np.uint8)
+        try:
+            for p, offset in zip(params, offsets):
+                view = shared[offset:offset + p.data.nbytes]
+                view = view.view(p.dtype).reshape(p.shape)
+                view[...] = p.data
+                p.data = view
+            steps = cls(params, run_episode,
+                        os.memfd_create("protoseg-gradient-pieces"))
+            try:
+                with _Helper("training", steps._serve) as steps.helper:
+                    yield steps
+            finally:
+                os.close(steps.pieces)
+        finally:
+            for p in params:  # the shared map goes with its last view
+                p.data = p.data.copy()
+
+    def start(self, index: int, epoch: int) -> None:
+        self.helper.send((index, epoch))
+
+    def add_gradient(self) -> float:
+        """The helper's loss, after adding its gradient pieces onto the
+        caller's gradients; raises what the helper's episode raised."""
+        reply = self.helper.recv()
+        if isinstance(reply, Exception):
+            raise reply
+        loss, layout = reply
+        offset = 0
+        for index, dtype in layout:
+            p = self.params[index]
+            nbytes = p.size * np.dtype(dtype).itemsize
+            piece = np.frombuffer(os.pread(self.pieces, nbytes, offset), dtype)
+            ad._accumulate(p, piece.reshape(p.shape))
+            offset += nbytes
+        return loss
+
+    def _serve(self, inbox, outbox, caller_alive) -> None:
+        """Helper body: run each episode the caller asks for, then send its
+        loss and where its pieces are, or its exception, back."""
+        log: list[tuple[int, np.ndarray]] = []
+        for index, p in enumerate(self.params):
+            p.grad = _PieceLog(index, log)
+        while True:
+            try:
+                episode, epoch = inbox.recv()
+            except EOFError:  # the caller is done, or gone
+                return
+            log.clear()
+            try:
+                loss = self.run_episode(episode, epoch, 2)
+                offset = 0
+                for _, piece in log:
+                    piece = np.ascontiguousarray(piece)
+                    if os.pwrite(self.pieces, piece, offset) != piece.nbytes:
+                        raise ProtosegError("short write of a gradient piece")
+                    offset += piece.nbytes
+            except Exception as exc:
+                outbox.send(exc)
+                return
+            outbox.send((loss, [(i, piece.dtype.str) for i, piece in log]))
+
+
+class _PieceLog:
+    """Stands in for a parameter's gradient in the training helper:
+    `autodiff._accumulate` adds each gradient piece onto it with +=, and
+    it logs the piece, untouched, with the parameter's index."""
+
+    def __init__(self, index: int, log: list):
+        self.index = index
+        self.log = log
+
+    def __iadd__(self, piece: np.ndarray) -> "_PieceLog":
+        self.log.append((self.index, piece))
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -232,41 +362,21 @@ def _share_episodes(score: Callable[[int], tuple], count: int) -> list[tuple]:
     than by stage keeps both busy whatever an episode's stages cost. A
     process stops at its first failing index and exhausts the counter, so
     every lower index has been scored when both stop. The helper sends its
-    results once over a one-way pipe. It ignores SIGINT (Ctrl-C reaches
-    the whole process group, and the caller stops it), and it stops when
-    its caller is gone, even by SIGKILL. The caller terminates and joins
-    it on return or raise; nothing is left holding a descriptor. It needs
-    the `fork` start method: a spawned helper would import numpy and the
-    package again for every call, and could not receive `score`.
+    results once, at the end.
     """
-    # Imported here: it costs more than a fork and join, and callers that
-    # never evaluate should not pay it at import.
     import mmap
     import multiprocessing
 
-    ctx = multiprocessing.get_context("fork")
-    lock = ctx.Lock()
-    reader, writer = ctx.Pipe(duplex=False)
-    caller = os.getpid()
-    with mmap.mmap(-1, 8) as counter, reader:
-        helper = ctx.Process(target=_help, daemon=True,
-                             args=(reader, writer, counter, lock, score,
-                                   count, caller))
-        with writer:
-            helper.start()
-        try:
+    lock = multiprocessing.get_context("fork").Lock()
+    with mmap.mmap(-1, 8) as counter:
+        def body(inbox, outbox, caller_alive) -> None:
+            outbox.send(_claim_and_score(counter, lock, score, count,
+                                         caller_alive))
+
+        with _Helper("evaluation", body) as helper:
             mine, my_error = _claim_and_score(counter, lock, score, count,
-                                              helper.is_alive)
-            try:
-                theirs, their_error = reader.recv()
-            except EOFError:
-                helper.join()
-                raise ProtosegError("evaluation helper exited with code %s"
-                                    % helper.exitcode) from None
-        finally:
-            helper.terminate()
-            helper.join()
-            helper.close()
+                                              helper.alive)
+            theirs, their_error = helper.recv()
     errors = [e for e in (my_error, their_error) if e is not None]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
@@ -299,19 +409,86 @@ def _claim_and_score(counter, lock, score, count, alive
     return done, None
 
 
-def _help(reader, writer, counter, lock, score, count: int,
-          caller: int) -> None:
-    """Helper body: claim and score episodes, then send what it did."""
+# ---------------------------------------------------------------------------
+# helper processes
+
+
+class _Helper:
+    """One helper process, forked for a with-block, and a pipe each way.
+
+    The helper runs body(inbox, outbox, caller_alive): it reads what the
+    caller sends and writes what the caller receives. It ignores SIGINT
+    (Ctrl-C reaches the whole process group, and the caller stops it).
+    It stops when its caller is gone, even by SIGKILL: it has closed its
+    copies of the caller's pipe ends, so a read then sees EOF and a write
+    ends it quietly (SIGPIPE), and caller_alive() turns false. On leaving
+    the block the caller terminates and joins it, so nothing is left
+    holding a descriptor. Once it has died, `send` and `recv` raise
+    ProtosegError("<what> helper exited with code N"). It needs the
+    `fork` start method: a spawned helper would import numpy and the
+    package again, and could not receive body.
+    """
+
+    def __init__(self, what: str, body: Callable):
+        # Imported here: callers that never fork should not pay for it.
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.what = what
+        inbox, self._to_helper = ctx.Pipe(duplex=False)
+        self._from_helper, outbox = ctx.Pipe(duplex=False)
+        self._process = ctx.Process(
+            target=_helper_main, daemon=True,
+            args=(body, os.getpid(), (inbox, outbox),
+                  (self._to_helper, self._from_helper)))
+        try:
+            with inbox, outbox:
+                self._process.start()
+        except BaseException:
+            self._to_helper.close()
+            self._from_helper.close()
+            raise
+
+    def __enter__(self) -> "_Helper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._process.terminate()
+        self._process.join()
+        self._process.close()
+        self._to_helper.close()
+        self._from_helper.close()
+
+    def alive(self) -> bool:
+        return self._process.is_alive()
+
+    def send(self, message) -> None:
+        try:
+            self._to_helper.send(message)
+        except BrokenPipeError:
+            self._exited()
+
+    def recv(self):
+        try:
+            return self._from_helper.recv()
+        except EOFError:
+            self._exited()
+
+    def _exited(self):
+        self._process.join()
+        raise ProtosegError("%s helper exited with code %s"
+                            % (self.what, self._process.exitcode)) from None
+
+
+def _helper_main(body: Callable, caller: int, ends, callers_ends) -> None:
     import signal  # loaded already, by multiprocessing
 
-    # With the fork's copy of the caller's end closed, a send to a caller
-    # gone even by SIGKILL ends the helper quietly (SIGPIPE).
-    reader.close()
+    for end in callers_ends:
+        end.close()
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # An orphan is re-parented, so its parent id changes.
-    writer.send(_claim_and_score(counter, lock, score, count,
-                                 lambda: os.getppid() == caller))
+    body(*ends, lambda: os.getppid() == caller)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import pytest
 
 import protoseg
 import protoseg.harness as harness
-from protoseg.autodiff import Parameter, Tensor
+from protoseg import autodiff as ad
+from protoseg.autodiff import Parameter, Tape, Tensor
 from protoseg.config import Config
 from protoseg.episodes import FoldSplit, sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
@@ -150,20 +151,203 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     with pytest.raises(TrainingError) as err:
         train(TINY)
     assert "episode seed" in str(err.value)
-    # Training forks no worker, so none is left behind either.
     assert not multiprocessing.active_children()
 
 
-def test_train_draws_its_episodes_in_process():
-    # Mid-training, after each epoch's episodes, no render worker runs.
-    epochs = []
+def test_train_runs_one_helper_while_it_trains():
+    # After each epoch exactly one helper runs; after the call, none.
+    epochs, helpers = [], set()
 
     def progress(epoch, loss):
-        assert multiprocessing.active_children() == []
+        (helper,) = multiprocessing.active_children()
+        helpers.add(helper.pid)
         epochs.append(epoch)
 
     train(TINY, progress=progress)
     assert epochs == list(range(TINY.epochs))
+    assert len(helpers) == 1
+    assert not multiprocessing.active_children()
+
+
+def _reference_training(config, out_dir):
+    """train's losses, network and checkpoint files as one process makes
+    them: the episodes of each step drawn, forwarded and backwarded in
+    turn, their gradients accumulated, then one SGD step."""
+    net = FewShotSegmenter(config)
+    split = default_split(config)
+    opt = SGD(net.parameters(), config.learning_rate, config.momentum)
+    losses, paths, index = [], [], 0
+    for epoch in range(config.epochs):
+        remaining = config.episodes_per_epoch
+        while remaining:
+            batch = min(2, remaining)
+            remaining -= batch
+            opt.zero_grad()
+            for _ in range(batch):
+                ep = sample_episode(split, "train", config.k_shot,
+                                    derive_seed(config.seed, "train", index),
+                                    config.image_size)
+                with Tape() as tape:
+                    loss = net.episode_loss(ep)
+                    scaled = ad.mul(loss, 1.0 / batch)
+                ad.backward(tape, scaled)
+                losses.append(loss.item())
+                index += 1
+            opt.step()
+        paths.append(save_checkpoint(
+            out_dir / ("checkpoint-epoch%03d.ckpt" % epoch), net, epoch, index))
+    return losses, net, paths
+
+
+@pytest.mark.parametrize("k_shot", (1, 2))
+@pytest.mark.parametrize("episodes_per_epoch", (1, 3, 4))
+def test_train_matches_a_single_process_loop(episodes_per_epoch, k_shot,
+                                             tmp_path):
+    # 3 ends each epoch in a one-episode step, which the caller runs
+    # alone; at K=2 each encoder parameter gets three gradient pieces.
+    cfg = TINY.with_overrides(image_size=32, k_shot=k_shot,
+                              episodes_per_epoch=episodes_per_epoch)
+    losses, net, paths = _reference_training(cfg, tmp_path / "serial")
+    result = train(cfg, out_dir=tmp_path / "forked")
+    assert result.losses == losses
+    for got, want in zip(result.network.parameters(), net.parameters()):
+        assert got.name == want.name
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes(), got.name
+    assert ([p.read_bytes() for p in result.checkpoints]
+            == [p.read_bytes() for p in paths])
+
+
+def _failing_draws(monkeypatch, failures, slow_caller=None):
+    """Make harness.sample_episode raise failures[seed] for those seeds,
+    after a pause in the caller (slow_caller True) or the helper (False)."""
+    caller = os.getpid()
+
+    def sample(split, role, k, seed, image_size):
+        if slow_caller is not None and (os.getpid() == caller) == slow_caller:
+            time.sleep(0.05)
+        if seed in failures:
+            raise failures[seed]
+        return sample_episode(split, role, k, seed, image_size)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+
+
+@pytest.mark.parametrize("index", (1, 3))
+def test_render_error_on_the_helpers_episode_surfaces(monkeypatch, index):
+    # Odd episodes are the helpers' (two per step, from episode 0).
+    seed = derive_seed(TINY.seed, "train", index)
+    _failing_draws(monkeypatch, {
+        seed: DegenerateEpisodeError("empty grid (seed %d)" % seed)})
+    with pytest.raises(DegenerateEpisodeError,
+                       match=r"^empty grid \(seed %d\)$" % seed):
+        train(TINY)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("index", (1, 3))
+def test_non_finite_loss_on_the_helpers_episode_surfaces(monkeypatch, index):
+    seed = derive_seed(TINY.seed, "train", index)
+
+    class Poisoned(FewShotSegmenter):
+        def episode_loss(self, episode):
+            loss = super().episode_loss(episode)
+            return ad.mul(loss, np.nan) if episode.seed == seed else loss
+
+    monkeypatch.setattr(harness, "FewShotSegmenter", Poisoned)
+    with pytest.raises(TrainingError,
+                       match=r"^non-finite loss at training episode %d "
+                             r"\(episode seed %d, epoch 0\)$" % (index, seed)):
+        train(TINY)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("slow_caller", (True, False))
+def test_both_episodes_of_a_step_failing_raise_the_first(monkeypatch,
+                                                        slow_caller):
+    # Whichever process fails first, the call raises episode 2's error,
+    # the one a single loop over the episodes would raise.
+    seeds = [derive_seed(TINY.seed, "train", i) for i in (2, 3)]
+    _failing_draws(monkeypatch, {
+        s: DegenerateEpisodeError("empty grid (seed %d)" % s) for s in seeds},
+        slow_caller)
+    with pytest.raises(DegenerateEpisodeError,
+                       match=r"^empty grid \(seed %d\)$" % seeds[0]):
+        train(TINY)
+    assert not multiprocessing.active_children()
+
+
+def test_train_reports_a_helper_that_died(monkeypatch):
+    caller = os.getpid()
+
+    def sample(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return sample_episode(*args)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+    with pytest.raises(ProtosegError, match="^training helper exited with "
+                                            "code 3$"):
+        train(TINY)
+    assert not multiprocessing.active_children()
+
+
+def test_train_checks_its_request_before_forking(monkeypatch):
+    def fork():
+        raise AssertionError("train forked before checking its seed")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
+        train(TINY.with_overrides(seed=2 ** 32))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the helper's signal dispositions in /proc")
+def test_train_helper_ignores_interrupt(monkeypatch):
+    # Ctrl-C signals the whole process group; the caller stops the helper.
+    want = train(TINY).losses
+    caller = os.getpid()
+    signalled = []
+
+    def sample(*args):
+        if os.getpid() != caller:
+            time.sleep(0.005)  # keeps the helper busy past the signal
+        elif not signalled:
+            (helper,) = multiprocessing.active_children()
+            deadline = time.monotonic() + 10
+            while not _ignores(helper.pid, signal.SIGINT):
+                if time.monotonic() > deadline:
+                    pytest.fail("helper did not come to ignore SIGINT")
+                time.sleep(0.001)
+            os.kill(helper.pid, signal.SIGINT)
+            signalled.append(helper.pid)
+        return sample_episode(*args)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+    # A helper stopped by the signal would end the call in a ProtosegError.
+    assert train(TINY).losses == want
+    assert signalled
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_train_leaves_no_helper_or_descriptor(monkeypatch, tmp_path):
+    class Poisoned(FewShotSegmenter):
+        def __init__(self, config, dtype=np.float32):
+            super().__init__(config, dtype)
+            self.head.cls_b.data[:] = np.nan
+
+    before = len(os.listdir("/proc/self/fd"))
+    for call in range(4):
+        if call % 2:
+            with monkeypatch.context() as m:
+                m.setattr(harness, "FewShotSegmenter", Poisoned)
+                with pytest.raises(TrainingError):
+                    train(TINY)
+        else:
+            train(TINY, out_dir=tmp_path)
+        assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_train_and_evaluate_leave_no_worker():
@@ -228,21 +412,16 @@ def test_seed_outside_32_bits_is_refused():
 
 
 def test_import_does_not_load_multiprocessing():
-    # evaluate imports multiprocessing and mmap when it forks its helper; a
-    # fresh interpreter's import of the package stays without them, and so
-    # does a training, which draws its episodes inline.
-    training = ("from protoseg.config import Config; "
-                "protoseg.harness.train(Config(image_size=16, channels=8, "
-                "proto_dim=4, encoder_width=4, reduction=4, epochs=1, "
-                "episodes_per_epoch=2)); ")
+    # train and evaluate import multiprocessing and mmap when they fork
+    # their helper; a fresh interpreter's import of the package stays
+    # without them.
     src = str(Path(protoseg.__file__).resolve().parent.parent)
-    for then in ("", training):
-        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                 "import protoseg.harness, protoseg.cli; " + then +
-                 "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", probe, src], check=True,
-                             capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "False False", then
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import protoseg.harness, protoseg.cli; "
+             "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False False"
 
 
 _BLAS_PROBE = """
@@ -632,6 +811,56 @@ def test_evaluate_helper_exits_when_its_caller_is_killed():
     src = str(Path(protoseg.__file__).resolve().parent.parent)
     child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src],
                              stdout=subprocess.PIPE, text=True)
+    try:
+        helper = int(child.stdout.readline())
+        time.sleep(0.5)
+        child.kill()
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not _exited(helper) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not _exited(helper):
+            os.kill(helper, signal.SIGKILL)
+            pytest.fail("helper %d outlived its killed caller by 10 s" % helper)
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+
+
+_KILLED_TRAINER = """
+import multiprocessing, os, sys, time
+sys.path.insert(0, sys.argv[1])
+from protoseg import harness
+from protoseg.config import Config
+caller, sample = os.getpid(), harness.sample_episode
+
+def hold(*args):
+    # The caller names its helper and waits to be killed. The helper is
+    # then either waiting for its next episode or, slowed, inside one.
+    if os.getpid() == caller:
+        (helper,) = multiprocessing.active_children()
+        print(helper.pid, flush=True)
+        time.sleep(60)
+    elif sys.argv[2] == "working":
+        time.sleep(1)
+    return sample(*args)
+
+harness.sample_episode = hold
+harness.train(Config(image_size=16, channels=8, proto_dim=4,
+                     encoder_width=4, reduction=4))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the helper's state in /proc")
+@pytest.mark.parametrize("helper_is", ("waiting", "working"))
+def test_train_helper_exits_when_its_caller_is_killed(helper_is):
+    # A waiting helper reads EOF; a working one dies of SIGPIPE when it
+    # sends its episode's gradient.
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    child = subprocess.Popen([sys.executable, "-c", _KILLED_TRAINER, src,
+                              helper_is], stdout=subprocess.PIPE, text=True)
     try:
         helper = int(child.stdout.readline())
         time.sleep(0.5)
