@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .encoder import STRIDE
 from .errors import ConfigError
+from .seeding import entropy_word
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class Config:
             raise ConfigError("encoder_depth must be >= 4")
         if not 0 <= self.fold <= 2:
             raise ConfigError("fold must be 0, 1 or 2")
+        entropy_word(self.seed)  # the run's streams derive from it
         try:
             lr_ok = math.isfinite(self.learning_rate) and self.learning_rate >= 0
         except OverflowError:  # an int beyond the float range

@@ -8,6 +8,7 @@ descriptors know it from construction, so the flattening is exact.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +82,15 @@ def check_binary(x, what: str) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _run_sums(grid: int, cell: int) -> np.ndarray:
+    """(grid, grid * cell) matrix whose row i sums entries i*cell to
+    (i+1)*cell - 1 of a vector."""
+    m = np.kron(np.eye(grid), np.ones(cell))
+    m.flags.writeable = False
+    return m
+
+
 def mask_to_feature_grid(mask: np.ndarray, grid: int) -> np.ndarray:
     """Downsample a binary (S, S) mask to (grid, grid) by mean pooling, then
     re-binarize at 0.5 with ties rounding up."""
@@ -89,8 +99,14 @@ def mask_to_feature_grid(mask: np.ndarray, grid: int) -> np.ndarray:
                              "onto a %dx%d grid" % (mask.shape, grid, grid))
     check_binary(mask, "mask")
     cell = len(mask) // grid
-    pooled = mask.reshape(grid, cell, grid, cell).mean(axis=(1, 3))
-    return (pooled >= 0.5).astype(mask.dtype)
+    # Each cell's count of set pixels, as two products with a 0/1 matrix
+    # that sums runs of `cell` pixels: exact for 0/1 values whatever the
+    # summation order, and several times faster than a mean over two
+    # non-adjacent axes. A mean of at least 0.5 is a count of at least half
+    # the cell.
+    runs = _run_sums(grid, cell)
+    counts = runs @ mask.astype(np.float64) @ runs.T
+    return (2 * counts >= cell * cell).astype(mask.dtype)
 
 
 def apply_mask(fmap: Tensor, grid: np.ndarray) -> Tensor:

@@ -134,13 +134,40 @@ def default_classes() -> tuple[DefectClass, ...]:
 
 # ---------------------------------------------------------------------------
 # rendering
+#
+# The renderer is pinned bit for bit (see `test_renderer_matches_reference`),
+# so every rewrite of its array work keeps each pixel's float operations and
+# their order. The caches below hold read-only arrays keyed by values
+# (sizes, a class's stripe parameters, a point count), so two callers that
+# share an entry need the same bytes.
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the column coordinate of every pixel, as (size, size)
+    float64 arrays."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    return _read_only(yy), _read_only(xx)
 
 
 @functools.cache
 def _noise_matrix(size: int, src: int) -> np.ndarray:
-    m = bilinear_matrix(size, src)
-    m.flags.writeable = False
-    return m
+    return _read_only(bilinear_matrix(size, src))
+
+
+@functools.lru_cache(maxsize=64)
+def _stripe_field(freq: float, angle: float, size: int) -> np.ndarray:
+    """2*pi*freq * (cos(angle) * x + sin(angle) * y) at every pixel, with x
+    and y in [0, 1): a class's stripes before their random phase. Keyed by
+    the stripe parameters, not the class id, which test classes reuse."""
+    yy, xx = _grid(size)
+    ca, sa = np.cos(angle), np.sin(angle)
+    return _read_only(2 * np.pi * freq * (ca * (xx / size) + sa * (yy / size)))
 
 
 def _value_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
@@ -150,37 +177,47 @@ def _value_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
 
 
 def _texture(rng: np.random.Generator, cls: DefectClass, size: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size] / size
     phase = rng.uniform(0, 2 * np.pi)
-    ca, sa = np.cos(cls.stripe_angle), np.sin(cls.stripe_angle)
-    stripes = cls.stripe_amp * np.sin(2 * np.pi * cls.stripe_freq * (ca * xx + sa * yy)
-                                      + phase)
-    gray = cls.base_level + stripes + cls.noise_amp * _value_noise(rng, size,
-                                                                   cls.noise_cells)
-    img = np.stack([gray + t for t in cls.tint])
-    return np.clip(img, 0.02, 0.98)
+    gray = _stripe_field(cls.stripe_freq, cls.stripe_angle, size) + phase
+    np.sin(gray, out=gray)
+    gray *= cls.stripe_amp
+    gray += cls.base_level
+    gray += cls.noise_amp * _value_noise(rng, size, cls.noise_cells)
+    img = gray + np.array(cls.tint)[:, None, None]
+    return np.clip(img, 0.02, 0.98, out=img)
 
 
 def _paint_discs(mask: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> None:
     """Set every pixel (y, x) with (y - cy)**2 + (x - cx)**2 <= r*r for some
-    disc, all discs at once.
+    disc, all discs at once. `mask` is C-contiguous: it is written through
+    a flat view.
 
     Each disc tests a square window of pixels around its center, truncated
     toward zero. A pixel within r of a center lies within ceil(r) + 1 of
     its truncation, so a window of reach ceil(max r) + 1 holds every hit.
+    Window rows and columns outside the image get an infinite squared
+    distance, so they never hit.
     """
     size = mask.shape[0]
     reach = int(np.ceil(radii.max())) + 1
-    offsets = np.arange(-reach, reach + 1)
-    ys = centers[:, 0].astype(int)[:, None] + offsets     # (n, window)
-    xs = centers[:, 1].astype(int)[:, None] + offsets
-    dy2 = (ys - centers[:, :1]) ** 2
-    dx2 = (xs - centers[:, 1:]) ** 2
-    hit = dy2[:, :, None] + dx2[:, None, :] <= (radii * radii)[:, None, None]
-    hit &= ((ys >= 0) & (ys < size))[:, :, None]
-    hit &= ((xs >= 0) & (xs < size))[:, None, :]
-    disc, iy, ix = np.nonzero(hit)
-    mask[ys[disc, iy], xs[disc, ix]] = True
+    offsets = np.arange(-reach, reach + 1)[:, None]
+    # (window, n) arrays: the discs run along the innermost axis, which
+    # keeps numpy's broadcast loops long.
+    ys = offsets + centers[:, 0].astype(int)
+    xs = offsets + centers[:, 1].astype(int)
+    dy2 = (ys - centers[:, 0]) ** 2
+    dx2 = (xs - centers[:, 1]) ** 2
+    dy2[(ys < 0) | (ys >= size)] = np.inf
+    dx2[(xs < 0) | (xs >= size)] = np.inf
+    hit = dy2[:, None] + dx2 <= radii * radii      # (window, window, n)
+    pixel = (ys * size)[:, None] + xs
+    mask.reshape(-1)[pixel[hit]] = True
+
+
+@functools.cache
+def _unit_steps(n: int) -> np.ndarray:
+    """n evenly spaced fractions from 0 to 1, as a column."""
+    return _read_only(np.linspace(0.0, 1.0, n)[:, None])
 
 
 def _draw_scratch(rng, size: int, style: Mapping) -> np.ndarray:
@@ -188,34 +225,61 @@ def _draw_scratch(rng, size: int, style: Mapping) -> np.ndarray:
     pos = rng.uniform(0.2, 0.8, size=2) * size
     angle = rng.uniform(0, 2 * np.pi)
     seg_len = style["length"] * size / style["segments"]
-    pts = [pos.copy()]
+    pts = [pos]
     for _ in range(style["segments"]):
         angle += rng.normal(0.0, style["wobble"])
         pos = pos + seg_len * np.array([np.sin(angle), np.cos(angle)])
-        pts.append(pos.copy())
+        pts.append(pos)
     segments = []
     for a, b in zip(pts[:-1], pts[1:]):
         n = max(2, int(np.linalg.norm(b - a) / 0.5))
-        segments.append(a + np.linspace(0.0, 1.0, n)[:, None] * (b - a))
+        segments.append(a + _unit_steps(n) * (b - a))
     centers = np.concatenate(segments)
     _paint_discs(mask, centers, np.full(len(centers), style["thickness"]))
     return mask
 
 
 def _draw_patch(rng, size: int, style: Mapping) -> np.ndarray:
+    """A disc whose radius rho(theta) = radius * (1 + sum_k a_k sin((k+2)
+    theta + p_k)), floored at 0.3 * radius, wobbles with the angle theta
+    around the center.
+
+    The sum lies within +-sum |a_k|, so pixels inside the smallest possible
+    rho are set and pixels outside the largest are not, whatever theta.
+    Both bounds are widened by 1e-9 * (1 + sum |a_k|), far above the
+    rounding error of rho, so only the pixels in the ring between them need
+    theta and rho, computed per pixel as on the whole grid.
+    """
     center = rng.uniform(0.3, 0.7, size=2) * size
     # The floor keeps small renders (toy 16x16 images) visible on the
     # STRIDE x STRIDE pooling windows of the feature grid.
     radius = max(style["radius"] * size * rng.uniform(0.85, 1.15), 3.0)
     amps = rng.normal(0.0, style["rough"], size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _grid(size)
     dy, dx = yy - center[0], xx - center[1]
-    theta = np.arctan2(dy, dx)
-    rho = radius * (1.0 + sum(a * np.sin((k + 2) * theta + p)
-                              for k, (a, p) in enumerate(zip(amps, phases))))
-    rho = np.maximum(rho, 0.3 * radius)
-    return dy * dy + dx * dx <= rho * rho
+    dist2 = dy * dy + dx * dx
+    floor = 0.3 * radius
+    wobble = np.abs(amps).sum()
+    slack = 1e-9 * (1.0 + wobble)
+    inner = max(radius * (1.0 - wobble - slack), floor)
+    outer = radius * (1.0 + wobble + slack)
+    mask = dist2 <= inner * inner
+    ring = np.flatnonzero((dist2 <= outer * outer) & ~mask)
+    dist2 = dist2.reshape(-1)[ring]
+    theta = np.arctan2(dy.reshape(-1)[ring], dx.reshape(-1)[ring])
+    rho = np.zeros_like(theta)
+    for k, (a, p) in enumerate(zip(amps, phases)):
+        term = theta * (k + 2)
+        term += p
+        np.sin(term, out=term)
+        term *= a
+        rho += term
+    rho += 1.0
+    rho *= radius
+    np.maximum(rho, floor, out=rho)
+    mask.reshape(-1)[ring] = dist2 <= rho * rho
+    return mask
 
 
 def _draw_pits(rng, size: int, style: Mapping) -> np.ndarray:
@@ -245,24 +309,44 @@ def _homography(d: DistortionParams, size: int) -> np.ndarray:
 
 
 def _source_coords(d: DistortionParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    hinv = np.linalg.inv(_homography(d, size))
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    denom = hinv[2, 0] * xx + hinv[2, 1] * yy + hinv[2, 2]
-    sx = (hinv[0, 0] * xx + hinv[0, 1] * yy + hinv[0, 2]) / denom
-    sy = (hinv[1, 0] * xx + hinv[1, 1] * yy + hinv[1, 2]) / denom
+    """The source (y, x) each output pixel reads: the inverse homography
+    applied to the pixel grid, as (h0 x + h1 y + h2) / (h6 x + h7 y + h8)."""
+    h = np.linalg.inv(_homography(d, size))
+    yy, xx = _grid(size)
+
+    def row(i):
+        out = h[i, 0] * xx
+        out += h[i, 1] * yy
+        out += h[i, 2]
+        return out
+
+    denom = row(2)
+    sx = row(0)
+    sx /= denom
+    sy = row(1)
+    sy /= denom
     return sy, sx
 
 
 def warp_mask(mask: np.ndarray, d: DistortionParams) -> np.ndarray:
-    """Nearest-neighbor warp; out-of-bounds reads are background."""
+    """Nearest-neighbor warp; out-of-bounds reads are background.
+
+    Each source coordinate is rounded, then clamped to one pixel past the
+    image (NaN to the low side), and read from the mask framed by a border
+    of zeros, so every read outside the image lands on the border.
+    """
     size = mask.shape[0]
+    framed = np.zeros((size + 2, size + 2), mask.dtype)
+    framed[1:-1, 1:-1] = mask
     sy, sx = _source_coords(d, size)
-    iy, ix = np.rint(sy).astype(int), np.rint(sx).astype(int)
-    inside = (iy >= 0) & (iy < size) & (ix >= 0) & (ix < size)
-    out = np.zeros_like(mask)
-    out[inside] = mask[np.clip(iy, 0, size - 1),
-                       np.clip(ix, 0, size - 1)][inside]
-    return out
+    for s in (sy, sx):
+        np.rint(s, out=s)
+        np.fmax(s, -1.0, out=s)
+        np.fmin(s, size, out=s)
+    sy *= size + 2
+    sy += sx
+    sy += size + 3      # the framed position of source pixel (0, 0)
+    return framed.reshape(-1)[sy.astype(np.intp)]
 
 
 def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParams,
@@ -283,7 +367,7 @@ def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParam
     mask = None
     for _ in range(_SHAPE_RETRIES):
         candidate = warp_mask(draw(rng, image_size, style), distortion)
-        frac = candidate.mean()
+        frac = np.count_nonzero(candidate) / candidate.size
         if FG_MIN <= frac <= FG_MAX:
             mask = candidate
             break
@@ -293,9 +377,23 @@ def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParam
             "after %d draws (seed %d)" % (cls.class_id, substyle, FG_MIN,
                                           FG_MAX, _SHAPE_RETRIES, seed))
     img = _texture(rng, cls, image_size)
-    inside = np.broadcast_to(mask, img.shape)
-    shift = cls.defect_delta + rng.normal(0.0, cls.defect_noise, size=img.shape)
-    img = np.clip(np.where(inside, img + shift, img), 0.0, 1.0)
+    # Defect pixels get defect_delta plus normal(0, defect_noise) noise
+    # drawn over the whole image in channel-major order. Only the draw's
+    # prefix up to the last defect pixel of the last channel is taken: the
+    # same values. normal(0, s) returns 0 + s * z for a standard normal z,
+    # which equals s * z once defect_delta is added, so only the taken
+    # values are scaled. The other pixels keep their texture, already
+    # inside [0, 1].
+    defect = np.flatnonzero(mask)
+    plane = image_size * image_size
+    z = rng.standard_normal(2 * plane + defect[-1] + 1)
+    shift = z[defect + np.arange(0, 3 * plane, plane)[:, None]]
+    shift *= cls.defect_noise
+    shift += cls.defect_delta
+    flat = img.reshape(3, plane)
+    pixels = flat[:, defect]
+    pixels += shift
+    flat[:, defect] = np.clip(pixels, 0.0, 1.0, out=pixels)
     return img.astype(np.float32), mask.astype(np.float32)
 
 

@@ -176,3 +176,23 @@ def test_load_config_file(tmp_path):
     path.write_text("image_size = 32\nseed = 3\n")
     cfg = load_config(path)
     assert cfg.image_size == 32 and cfg.seed == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_config("seed = -1"),
+    lambda: parse_config("seed = 4294967296"),
+    lambda: Config(seed=2 ** 32),
+    lambda: Config().with_overrides(seed=-1),
+    lambda: config_from_dict({"seed": 2 ** 40}),
+], ids=["file-negative", "file-2**32", "init-2**32", "override-negative",
+        "dict-2**40"])
+def test_seed_outside_32_bits_is_no_config(build):
+    # The run's streams derive from the seed with `derive_rng`, which would
+    # refuse it; the Config refuses it first, with the same rule.
+    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
+        build()
+
+
+def test_seed_at_the_32_bit_edges_builds():
+    assert Config(seed=0).seed == 0
+    assert parse_config("seed = 4294967295").seed == 2 ** 32 - 1

@@ -8,13 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from protoseg.episodes import (DefectClass, DistortionParams, Episode,
-                               _paint_discs, default_classes, generate_sample,
-                               make_folds, sample_episode, warp_mask)
+from protoseg import episodes
+from protoseg.episodes import (FG_MAX, FG_MIN, DefectClass, DistortionParams,
+                               Episode, _paint_discs, default_classes,
+                               generate_sample, make_folds, sample_episode,
+                               warp_mask)
 from protoseg.errors import ConfigError, DegenerateEpisodeError
 from protoseg.harness import _share_episodes
 
-from oracles import naive_paint_discs
+from oracles import (naive_paint_discs, reference_generate_sample,
+                     reference_warp_mask)
 
 CLASSES = default_classes()
 IDENT = DistortionParams(rotation=0.0, scale=1.0, perspective_x=0.0,
@@ -88,16 +91,129 @@ def test_generate_sample_enforces_distortion_limits():
         generate_sample(cls, 0, too_far, seed=0)
 
 
-def test_degenerate_class_raises_with_seed():
-    tiny = DefectClass(
+def _test_class(**changes):
+    """A one-substyle pits class outside the corpus, for edge cases."""
+    fields = dict(
         class_id=0, family="pits", base_level=0.5, stripe_amp=0.05,
         stripe_freq=3.0, stripe_angle=0.3, noise_amp=0.03, noise_cells=5,
         tint=(0.0, 0.0, 0.0), defect_delta=0.4, defect_noise=0.1,
         rotation_max=0.3, scale_range=(0.9, 1.1), perspective_max=0.1,
         substyles=({"count": 1, "pit_radius": (0.4, 0.6), "spread": 0.05},))
+    fields.update(changes)
+    return DefectClass(**fields)
+
+
+def test_degenerate_class_raises_with_seed():
+    tiny = _test_class()
     with pytest.raises(DegenerateEpisodeError) as err:
         generate_sample(tiny, 0, IDENT, seed=123, image_size=64)
     assert "123" in str(err.value)
+    with pytest.raises(DegenerateEpisodeError) as ref:
+        reference_generate_sample(tiny, 0, IDENT, seed=123, image_size=64)
+    assert str(err.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the renderer against its reference
+
+
+def _same_sample(got, want):
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _warps(cls, *key, count=6):
+    """Seeded warps inside the class's limits, the two extreme corners
+    first."""
+    lo, hi = cls.scale_range
+    p = cls.perspective_max
+    out = [DistortionParams(cls.rotation_max, hi, p, -p),
+           DistortionParams(-cls.rotation_max, lo, -p, p)]
+    rng = np.random.default_rng(list(key))
+    for _ in range(count - len(out)):
+        out.append(DistortionParams(
+            float(rng.uniform(-cls.rotation_max, cls.rotation_max)),
+            float(rng.uniform(lo, hi)), float(rng.uniform(-p, p)),
+            float(rng.uniform(-p, p))))
+    return out
+
+
+@pytest.mark.parametrize("size", (16, 32, 64))
+@pytest.mark.parametrize("cid, sub", [(c.class_id, s) for c in CLASSES
+                                      for s in range(len(c.substyles))])
+def test_renderer_matches_reference(cid, sub, size):
+    # The renderer must give the bytes of the one it replaced
+    # (`reference_generate_sample`), a stricter and wider check than the
+    # golden episode digest: every class and substyle, three sizes, and
+    # warps across each class's limits.
+    cls = CLASSES[cid]
+    for i, dist in enumerate(_warps(cls, cid, sub, size)):
+        seed = 1000 * cid + 100 * sub + size + i
+        _same_sample(generate_sample(cls, sub, dist, seed, size),
+                     reference_generate_sample(cls, sub, dist, seed, size))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warp_matches_reference(seed):
+    # Warps beyond any class's limits too: half turns, strong scales and
+    # perspective, on float and bool masks of odd and even sizes.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(5, 40))
+    for dtype in (np.float32, bool):
+        mask = (rng.random((size, size)) > 0.6).astype(dtype)
+        for _ in range(8):
+            dist = DistortionParams(float(rng.uniform(-np.pi, np.pi)),
+                                    float(rng.uniform(0.3, 2.5)),
+                                    float(rng.uniform(-1.0, 1.0)),
+                                    float(rng.uniform(-1.0, 1.0)))
+            _same_sample([warp_mask(mask, dist)],
+                         [reference_warp_mask(mask, dist)])
+
+
+def test_shape_retry_then_success_matches_reference(monkeypatch):
+    # A pit whose area straddles FG_MIN at 32 px: some seeds' first shape
+    # falls outside [FG_MIN, FG_MAX] and a later draw is kept. Find one.
+    cls = _test_class(class_id=5, substyles=(
+        {"count": 1, "pit_radius": (4.6, 5.6), "spread": 0.1},))
+    fractions = []
+    warp = episodes.warp_mask
+
+    def recording_warp(mask, dist):
+        out = warp(mask, dist)
+        fractions.append(out.mean())
+        return out
+
+    monkeypatch.setattr(episodes, "warp_mask", recording_warp)
+    for seed in range(200):
+        fractions.clear()
+        try:
+            got = generate_sample(cls, 0, IDENT, seed, 32)
+        except DegenerateEpisodeError:
+            continue
+        if len(fractions) > 1:
+            break
+    else:
+        pytest.fail("no seed needed a second shape draw")
+    assert not FG_MIN <= fractions[0] <= FG_MAX
+    assert FG_MIN <= fractions[-1] <= FG_MAX
+    _same_sample(got, reference_generate_sample(cls, 0, IDENT, seed, 32))
+
+
+def test_texture_depends_on_stripes_not_class_id():
+    # Classes built outside the corpus may reuse a class id with other
+    # stripes; whatever the renderer caches must not mix them up.
+    pits = ({"count": 6, "pit_radius": (4.2, 5.2), "spread": 0.2},)
+    a = _test_class(class_id=3, stripe_freq=3.0, stripe_angle=0.3,
+                    substyles=pits)
+    b = _test_class(class_id=3, stripe_freq=7.5, stripe_angle=2.0,
+                    substyles=pits)
+    images = []
+    for cls in (a, b, a):
+        got = generate_sample(cls, 0, IDENT, seed=8, image_size=32)
+        _same_sample(got, reference_generate_sample(cls, 0, IDENT, 8, 32))
+        images.append(got[0])
+    assert not np.array_equal(images[0], images[1])
 
 
 # ---------------------------------------------------------------------------
