@@ -439,13 +439,16 @@ def make_folds(class_ids: Sequence[int], seed: int, test_fold: int = 0) -> FoldS
 
 @dataclass
 class Episode:
-    """K support pairs and one query pair of one class, as two float32
-    arrays with the supports first and the query last: `images` is
-    `(K+1, 3, S, S)` and `masks` is `(K+1, S, S)`."""
+    """K support pairs and one query pair of one class, as float32 arrays
+    with the supports first and the query last: `images` is
+    `(K+1, 3, S, S)`, `masks` is `(K+1, S, S)`, and `grids` is
+    `(K+1, S/STRIDE, S/STRIDE)`, each mask pooled onto the feature grid by
+    `mask_to_feature_grid`."""
 
     class_id: int
     images: np.ndarray
     masks: np.ndarray
+    grids: np.ndarray
     seed: int
 
     @property
@@ -486,6 +489,7 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     images = np.empty((k + 1, 3, image_size, image_size), np.float32)
     masks = np.empty((k + 1, image_size, image_size), np.float32)
     grid = image_size // STRIDE
+    grids = np.empty((k + 1, grid, grid), np.float32)
     rng = derive_rng(seed, "episode", role)
     cls = table[int(pool[rng.integers(len(pool))])]
     for index in range(k + 1):
@@ -501,8 +505,9 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
                                                 cls.perspective_max)))
             sample_seed = int(rng.integers(2 ** 31))
             img, mask = generate_sample(cls, sub, dist, sample_seed, image_size)
-            if mask_to_feature_grid(mask, grid).any():
-                images[index], masks[index] = img, mask
+            cells = mask_to_feature_grid(mask, grid)
+            if cells.any():
+                images[index], masks[index], grids[index] = img, mask, cells
                 break
             log.info("episode %d: resampling %s %d (empty feature grid, "
                      "attempt %d)", seed, which, shot, attempt + 1)
@@ -510,4 +515,4 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
             raise DegenerateEpisodeError(
                 "episode %d: %s sample kept an empty feature grid after %d "
                 "draws" % (seed, which, _GRID_RETRIES))
-    return Episode(cls.class_id, images, masks, seed)
+    return Episode(cls.class_id, images, masks, grids, seed)

@@ -134,15 +134,17 @@ def train(config: Config, out_dir=None,
 
     A step's two episodes run on two CPUs: the caller draws, forwards and
     backwards the first while a helper process, forked once per call, does
-    the same for the second against the same weights (`_StepHelper`). The
-    caller then adds the helper's gradient onto its own and steps SGD. The
-    batch-1 tail step of an odd episodes_per_epoch runs in the caller
-    alone. Losses, weights and checkpoints are the same, bit for bit, as
-    one process running the episodes in turn.
+    the same for the second against the same weights (`_shared`). The
+    helper sends its gradient pieces over its pipe (`_PieceLog`); the
+    caller adds them onto its own gradient and steps SGD. The batch-1 tail
+    step of an odd episodes_per_epoch runs in the caller alone. Losses,
+    weights and checkpoints are the same, bit for bit, as one process
+    running the episodes in turn.
     """
     net = FewShotSegmenter(config)
     split = default_split(config)
-    opt = SGD(net.parameters(), config.learning_rate, config.momentum)
+    params = net.parameters()
+    opt = SGD(params, config.learning_rate, config.momentum)
 
     def run_episode(index: int, epoch: int, batch: int) -> float:
         """Draw, forward and backward one episode; returns its loss."""
@@ -160,10 +162,32 @@ def train(config: Config, out_dir=None,
         ad.backward(tape, scaled)
         return value
 
+    def serve(inbox, outbox, caller_alive) -> None:
+        """Helper body: run each episode the caller asks for, then send its
+        loss and the layout of its gradient pieces, then each raw piece in
+        backward order; or send its exception instead."""
+        log: list[tuple[int, np.ndarray]] = []
+        for i, p in enumerate(params):
+            p.grad = _PieceLog(i, log)
+        while True:
+            try:
+                index, epoch = inbox.recv()
+            except EOFError:  # the caller is done, or gone
+                return
+            log.clear()
+            try:
+                loss = run_episode(index, epoch, 2)
+            except Exception as exc:
+                outbox.send(exc)
+                return
+            outbox.send((loss, [(i, piece.dtype.str) for i, piece in log]))
+            for _, piece in log:
+                outbox.send_bytes(np.ascontiguousarray(piece))
+
     losses: list[float] = []
     checkpoints: list[Path] = []
     episode_index = 0
-    with _StepHelper.forked(net.parameters(), run_episode) as helper:
+    with _shared(params), _Helper("training", serve) as helper:
         for epoch in range(config.epochs):
             epoch_losses = []
             remaining = config.episodes_per_epoch
@@ -172,10 +196,18 @@ def train(config: Config, out_dir=None,
                 remaining -= batch
                 opt.zero_grad()
                 if batch == 2:
-                    helper.start(episode_index + 1, epoch)
+                    helper.send((episode_index + 1, epoch))
                 epoch_losses.append(run_episode(episode_index, epoch, batch))
                 if batch == 2:
-                    epoch_losses.append(helper.add_gradient())
+                    reply = helper.recv()
+                    if isinstance(reply, Exception):
+                        raise reply
+                    loss, layout = reply
+                    for i, dtype in layout:  # one piece in memory at a time
+                        p = params[i]
+                        piece = np.frombuffer(helper.recv_bytes(), dtype)
+                        ad._accumulate(p, piece.reshape(p.shape))
+                    epoch_losses.append(loss)
                 opt.step()
                 episode_index += batch
             losses.extend(epoch_losses)
@@ -188,107 +220,41 @@ def train(config: Config, out_dir=None,
     return TrainResult(network=net, losses=losses, checkpoints=checkpoints)
 
 
-class _StepHelper:
-    """The helper half of `train`'s two-episode steps.
+@contextmanager
+def _shared(params: list[Parameter]):
+    """Keep the parameters' data in one anonymous shared map for the block.
+    SGD updates it in place, so a helper forked inside the block always
+    computes with the caller's weights."""
+    import mmap
 
-    While `forked` is open, the parameters live in one anonymous shared
-    map, which SGD updates in place, so the helper always computes with
-    the caller's weights. `start(i, epoch)` has the helper run episode i;
-    `add_gradient()` waits for it and adds its gradient onto the caller's.
-
-    A parameter used twice in one episode gets two gradient pieces, and
-    `autodiff._accumulate` adds them one at a time. Float addition does
-    not associate, so adding the sum of the helper's pieces could differ
-    in the last bit from one process adding them in turn. So the helper
-    sets a `_PieceLog` where each parameter's gradient would be, and
-    backward hands it every raw piece in backward order. The helper writes
-    the pieces to an in-memory file (memfd), which grows to fit however
-    many there are; the caller reads them back one at a time and
-    accumulates them in that order.
-    """
-
-    def __init__(self, params: list[Parameter], run_episode, pieces: int):
-        self.params = params
-        self.run_episode = run_episode
-        self.pieces = pieces            # the in-memory file's descriptor
-        self.helper: Optional[_Helper] = None
-
-    @classmethod
-    @contextmanager
-    def forked(cls, params: list[Parameter], run_episode):
-        import mmap
-
-        offsets, size = [], 0
-        for p in params:
-            offsets.append(size)
-            size += -(-p.data.nbytes // 64) * 64  # 64-byte aligned views
-        shared = np.frombuffer(mmap.mmap(-1, size), np.uint8)
-        try:
-            for p, offset in zip(params, offsets):
-                view = shared[offset:offset + p.data.nbytes]
-                view = view.view(p.dtype).reshape(p.shape)
-                view[...] = p.data
-                p.data = view
-            steps = cls(params, run_episode,
-                        os.memfd_create("protoseg-gradient-pieces"))
-            try:
-                with _Helper("training", steps._serve) as steps.helper:
-                    yield steps
-            finally:
-                os.close(steps.pieces)
-        finally:
-            for p in params:  # the shared map goes with its last view
-                p.data = p.data.copy()
-
-    def start(self, index: int, epoch: int) -> None:
-        self.helper.send((index, epoch))
-
-    def add_gradient(self) -> float:
-        """The helper's loss, after adding its gradient pieces onto the
-        caller's gradients; raises what the helper's episode raised."""
-        reply = self.helper.recv()
-        if isinstance(reply, Exception):
-            raise reply
-        loss, layout = reply
-        offset = 0
-        for index, dtype in layout:
-            p = self.params[index]
-            nbytes = p.size * np.dtype(dtype).itemsize
-            piece = np.frombuffer(os.pread(self.pieces, nbytes, offset), dtype)
-            ad._accumulate(p, piece.reshape(p.shape))
-            offset += nbytes
-        return loss
-
-    def _serve(self, inbox, outbox, caller_alive) -> None:
-        """Helper body: run each episode the caller asks for, then send its
-        loss and where its pieces are, or its exception, back."""
-        log: list[tuple[int, np.ndarray]] = []
-        for index, p in enumerate(self.params):
-            p.grad = _PieceLog(index, log)
-        while True:
-            try:
-                episode, epoch = inbox.recv()
-            except EOFError:  # the caller is done, or gone
-                return
-            log.clear()
-            try:
-                loss = self.run_episode(episode, epoch, 2)
-                offset = 0
-                for _, piece in log:
-                    piece = np.ascontiguousarray(piece)
-                    if os.pwrite(self.pieces, piece, offset) != piece.nbytes:
-                        raise ProtosegError("short write of a gradient piece")
-                    offset += piece.nbytes
-            except Exception as exc:
-                outbox.send(exc)
-                return
-            outbox.send((loss, [(i, piece.dtype.str) for i, piece in log]))
+    offsets, size = [], 0
+    for p in params:
+        offsets.append(size)
+        size += -(-p.data.nbytes // 64) * 64  # 64-byte aligned views
+    shared = np.frombuffer(mmap.mmap(-1, size), np.uint8)
+    try:
+        for p, offset in zip(params, offsets):
+            view = shared[offset:offset + p.data.nbytes]
+            view = view.view(p.dtype).reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+        yield
+    finally:
+        for p in params:  # the shared map goes with its last view
+            p.data = p.data.copy()
 
 
 class _PieceLog:
     """Stands in for a parameter's gradient in the training helper:
     `autodiff._accumulate` adds each gradient piece onto it with +=, and
-    it logs the piece, untouched, with the parameter's index."""
+    it logs the piece, untouched, with the parameter's index.
+
+    A parameter used twice in one episode gets two gradient pieces. Float
+    addition does not associate, so adding the sum of the helper's pieces
+    could differ in the last bit from one process adding them in turn. So
+    the helper hands the caller every raw piece, in backward order, and the
+    caller accumulates them one at a time in that order.
+    """
 
     def __init__(self, index: int, log: list):
         self.index = index
@@ -390,11 +356,8 @@ def _claim_and_score(counter, lock, score, count, alive
     first failure as (index, exception)."""
     done = []
     while alive():
-        # A timeout, so a process killed while holding the lock cannot
-        # hold up the other for good.
-        while not lock.acquire(timeout=1.0):
-            if not alive():
-                return done, None
+        if not _acquire(lock, alive):
+            return done, None
         i = int.from_bytes(counter, "little")
         counter[:] = (i + 1).to_bytes(8, "little")
         lock.release()
@@ -403,10 +366,21 @@ def _claim_and_score(counter, lock, score, count, alive
         try:
             done.append((i, score(i)))
         except Exception as exc:
-            with lock:
+            if _acquire(lock, alive):
                 counter[:] = count.to_bytes(8, "little")
+                lock.release()
             return done, (i, exc)
     return done, None
+
+
+def _acquire(lock, alive) -> bool:
+    """Take the lock, or return False once `alive()` says the other process
+    is gone. It waits with a timeout, so a process killed while holding the
+    lock cannot hold up the other for good."""
+    while not lock.acquire(timeout=1.0):
+        if not alive():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +397,10 @@ class _Helper:
     copies of the caller's pipe ends, so a read then sees EOF and a write
     ends it quietly (SIGPIPE), and caller_alive() turns false. On leaving
     the block the caller terminates and joins it, so nothing is left
-    holding a descriptor. Once it has died, `send` and `recv` raise
-    ProtosegError("<what> helper exited with code N"). It needs the
-    `fork` start method: a spawned helper would import numpy and the
-    package again, and could not receive body.
+    holding a descriptor. Once it has died, `send`, `recv` and
+    `recv_bytes` raise ProtosegError("<what> helper exited with code N").
+    It needs the `fork` start method: a spawned helper would import numpy
+    and the package again, and could not receive body.
     """
 
     def __init__(self, what: str, body: Callable):
@@ -471,6 +445,12 @@ class _Helper:
     def recv(self):
         try:
             return self._from_helper.recv()
+        except EOFError:
+            self._exited()
+
+    def recv_bytes(self) -> bytes:
+        try:
+            return self._from_helper.recv_bytes()
         except EOFError:
             self._exited()
 

@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor
 from .config import Config
 from .encoder import (STRIDE, Encoder, apply_mask, kshot_average,
-                      mask_to_feature_grid, masked_avg_pool, to_descriptors)
+                      masked_avg_pool, to_descriptors)
 from .episodes import Episode
 from .errors import DegenerateEpisodeError, DimensionError
 from .excitation import FeatureExcitation
@@ -83,14 +83,10 @@ class FewShotSegmenter:
     def encode_support(self, episode: Episode) -> tuple[Tensor, np.ndarray]:
         """K-averaged masked support descriptors plus the union feature grid."""
         masked = []
-        grids = []
-        for img, msk in zip(episode.images[:-1], episode.masks[:-1]):
+        for img, grid in zip(episode.images[:-1], episode.grids[:-1]):
             fmap = self.encoder(img.astype(self.dtype, copy=False))
-            grid = mask_to_feature_grid(msk.astype(self.dtype, copy=False),
-                                        self.grid)
             masked.append(apply_mask(fmap, grid))
-            grids.append(grid)
-        union = np.clip(np.sum(grids, axis=0), 0.0, 1.0).astype(self.dtype)
+        union = episode.grids[:-1].max(axis=0).astype(self.dtype)
         if not np.any(union):
             raise DegenerateEpisodeError("support masks vanish at feature "
                                          "resolution (episode seed %d)"

@@ -308,7 +308,8 @@ def test_episode_contract():
     assert ep.k == 3
     assert ep.images.shape == (4, 3, 32, 32)
     assert ep.masks.shape == (4, 32, 32)
-    assert ep.images.dtype == ep.masks.dtype == np.float32
+    assert ep.grids.shape == (4, 8, 8)
+    assert ep.images.dtype == ep.masks.dtype == ep.grids.dtype == np.float32
     assert ep.class_id in SPLIT.train_class_ids
 
 
@@ -333,9 +334,11 @@ def test_episode_deterministic():
 def test_episode_support_masks_nonempty_at_grid():
     for seed in range(30):
         ep = sample_episode(SPLIT, "train", 1, seed, 32)
-        for m in ep.masks[:-1]:
+        for m, grid in zip(ep.masks, ep.grids):
             pooled = m.reshape(8, 4, 8, 4).mean(axis=(1, 3))
             assert (pooled >= 0.5).any()
+            # The episode carries each mask's feature grid, pooled once.
+            assert np.array_equal(grid, pooled >= 0.5)
 
 
 def test_episode_validation():
@@ -387,7 +390,7 @@ def test_golden_episode_digest():
 
 def _fingerprint(ep):
     return (ep.class_id, ep.seed, [(a.dtype.str, a.shape, a.tobytes())
-                                   for a in (ep.images, ep.masks)])
+                                   for a in (ep.images, ep.masks, ep.grids)])
 
 
 @pytest.mark.parametrize("size", (32, 64))

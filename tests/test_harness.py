@@ -3,10 +3,12 @@
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -199,14 +201,21 @@ def _reference_training(config, out_dir):
     return losses, net, paths
 
 
-@pytest.mark.parametrize("k_shot", (1, 2))
-@pytest.mark.parametrize("episodes_per_epoch", (1, 3, 4))
+@pytest.mark.parametrize("episodes_per_epoch, k_shot, overrides", [
+    pytest.param(e, k, dict(image_size=32), id="%d-%d" % (e, k))
+    for e in (1, 3, 4) for k in (1, 2)] + [
+    # At desk width a fusion.res* piece is 64*64*3*3 float32, 147 KiB:
+    # more than a pipe buffer (64 KiB on Linux) holds, so the helper
+    # blocks partway through sending it.
+    pytest.param(3, 2, dict(image_size=16, channels=32),
+                 id="3-2-channels32")])
 def test_train_matches_a_single_process_loop(episodes_per_epoch, k_shot,
-                                             tmp_path):
+                                             overrides, tmp_path):
     # 3 ends each epoch in a one-episode step, which the caller runs
     # alone; at K=2 each encoder parameter gets three gradient pieces.
-    cfg = TINY.with_overrides(image_size=32, k_shot=k_shot,
-                              episodes_per_epoch=episodes_per_epoch)
+    cfg = TINY.with_overrides(k_shot=k_shot,
+                              episodes_per_epoch=episodes_per_epoch,
+                              **overrides)
     losses, net, paths = _reference_training(cfg, tmp_path / "serial")
     result = train(cfg, out_dir=tmp_path / "forked")
     assert result.losses == losses
@@ -290,6 +299,39 @@ def test_train_reports_a_helper_that_died(monkeypatch):
                                             "code 3$"):
         train(TINY)
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_train_reports_a_helper_that_died_between_layout_and_pieces(
+        monkeypatch):
+    # The helper sends its loss and the layout of its pieces, then dies
+    # before its first piece: the caller's read of that piece raises.
+    caller = os.getpid()
+    send_bytes = multiprocessing.connection.Connection.send_bytes
+    recv = harness._Helper.recv
+    replies = []
+
+    def die(self, *args):
+        if os.getpid() != caller:
+            os._exit(3)
+        send_bytes(self, *args)
+
+    def logged_recv(self):
+        replies.append(recv(self))
+        return replies[-1]
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes",
+                        die)
+    monkeypatch.setattr(harness._Helper, "recv", logged_recv)
+    with pytest.raises(ProtosegError, match="^training helper exited with "
+                                            "code 3$"):
+        train(TINY)
+    ((loss, layout),) = replies
+    assert np.isfinite(loss) and layout
+    assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_train_checks_its_request_before_forking(monkeypatch):
@@ -711,6 +753,30 @@ def test_evaluate_reports_a_helper_that_died(monkeypatch):
                                             "code 3$"):
         evaluate(FewShotSegmenter(TINY), k=1, episodes=30, seed=0)
     assert not multiprocessing.active_children()
+
+
+def test_claim_and_score_stops_at_a_lock_its_dead_peer_holds():
+    # score takes the lock and raises, standing in for a peer that died
+    # holding it: the failing process must give up on the lock, not wait
+    # for it for good.
+    lock = multiprocessing.get_context("fork").Lock()
+    gone = []
+
+    def score(i):
+        lock.acquire()
+        gone.append(i)
+        raise ValidationError("episode %d failed" % i)
+
+    result = []
+    worker = threading.Thread(daemon=True, target=lambda: result.append(
+        harness._claim_and_score(bytearray(8), lock, score, 5,
+                                 lambda: not gone)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "waited for good on a dead peer's lock"
+    ((done, (index, exc)),) = result
+    assert done == [] and index == 0
+    assert str(exc) == "episode 0 failed"
 
 
 def _ignores(pid, signum):

@@ -157,10 +157,11 @@ def test_encode_support_union_grid():
 def test_encode_support_empty_mask_raises_with_seed():
     net = toy_net()
     ep = sample_episode(SPLIT, "train", 1, seed=7, image_size=16)
-    masks = ep.masks.copy()
+    masks, grids = ep.masks.copy(), ep.grids.copy()
     masks[:-1] = 0.0
+    grids[:-1] = 0.0
     empty = Episode(class_id=ep.class_id, images=ep.images, masks=masks,
-                    seed=4242)
+                    grids=grids, seed=4242)
     with pytest.raises(DegenerateEpisodeError) as err:
         net.encode_support(empty)
     assert "4242" in str(err.value)
