@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile  # loaded already, by numpy
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -275,8 +276,9 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
     config held out.
 
     The caller and one forked helper process score the episodes between
-    them (`_share_episodes`). The report sums the scores in episode order,
-    so it is the same, bit for bit, as one process scoring them in turn.
+    them, each claiming the next episode index from one shared queue
+    (`_share_episodes`). The report sums the scores in episode order, so
+    it is the same, bit for bit, as one process scoring them in turn.
     """
     cfg = net.config
     if k is None:
@@ -323,24 +325,25 @@ def _share_episodes(score: Callable[[int], tuple], count: int) -> list[tuple]:
     forked helper process on both CPUs, or the exception of the lowest
     index that raised.
 
-    Each process claims the next index from a counter in an anonymous
-    shared map, under a lock, and scores it; splitting by episode rather
-    than by stage keeps both busy whatever an episode's stages cost. A
-    process stops at its first failing index and exhausts the counter, so
-    every lower index has been scored when both stop. The helper sends its
-    results once, at the end.
+    The indices wait in a queue, an unnamed temporary file of 8-byte
+    words that both processes read through one shared file offset. Each
+    process claims the next index with one read and scores it; splitting
+    by episode rather than by stage keeps both busy whatever an episode's
+    stages cost. POSIX has a read() through one open file description
+    update its offset atomically, across processes too (Linux since 3.14,
+    read(2), BUGS), so each index goes out once and in increasing order:
+    every index below a failing one has been claimed, and is scored, when
+    both stop. The helper sends its results once, at the end.
     """
-    import mmap
-    import multiprocessing
+    with tempfile.TemporaryFile() as queue:
+        queue.write(np.arange(count, dtype="<u8").tobytes())
+        queue.seek(0)
 
-    lock = multiprocessing.get_context("fork").Lock()
-    with mmap.mmap(-1, 8) as counter:
         def body(inbox, outbox, caller_alive) -> None:
-            outbox.send(_claim_and_score(counter, lock, score, count,
-                                         caller_alive))
+            outbox.send(_claim_and_score(queue.fileno(), score, caller_alive))
 
         with _Helper("evaluation", body) as helper:
-            mine, my_error = _claim_and_score(counter, lock, score, count,
+            mine, my_error = _claim_and_score(queue.fileno(), score,
                                               helper.alive)
             theirs, their_error = helper.recv()
     errors = [e for e in (my_error, their_error) if e is not None]
@@ -349,38 +352,25 @@ def _share_episodes(score: Callable[[int], tuple], count: int) -> list[tuple]:
     return [row for _, row in sorted(mine + theirs, key=lambda r: r[0])]
 
 
-def _claim_and_score(counter, lock, score, count, alive
+def _claim_and_score(queue: int, score, alive
                      ) -> tuple[list, Optional[tuple[int, Exception]]]:
-    """Score claimed indices until the counter runs out or `alive()` says
-    the other process is gone. Returns the (index, result) pairs and the
-    first failure as (index, exception)."""
+    """Score the indices read from descriptor `queue`, one 8-byte word
+    each, until it reads empty or `alive()` says the other process is
+    gone. A failing process moves the shared offset to the end, so the
+    other claims nothing after its episode in flight. Returns the
+    (index, result) pairs and the first failure as (index, exception)."""
     done = []
     while alive():
-        if not _acquire(lock, alive):
-            return done, None
-        i = int.from_bytes(counter, "little")
-        counter[:] = (i + 1).to_bytes(8, "little")
-        lock.release()
-        if i >= count:
+        word = os.read(queue, 8)
+        if not word:
             break
+        i = int.from_bytes(word, "little")
         try:
             done.append((i, score(i)))
         except Exception as exc:
-            if _acquire(lock, alive):
-                counter[:] = count.to_bytes(8, "little")
-                lock.release()
+            os.lseek(queue, 0, os.SEEK_END)
             return done, (i, exc)
     return done, None
-
-
-def _acquire(lock, alive) -> bool:
-    """Take the lock, or return False once `alive()` says the other process
-    is gone. It waits with a timeout, so a process killed while holding the
-    lock cannot hold up the other for good."""
-    while not lock.acquire(timeout=1.0):
-        if not alive():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

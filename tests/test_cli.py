@@ -1,6 +1,7 @@
 """End-to-end command flow through main(argv)."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,19 @@ def test_eval_missing_file(argv, error, tiny_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error = %s:" % error)
     assert err.count("\n") == 1
+
+
+def test_eval_full_disk_is_one_error_line(trained_ckpt, monkeypatch, capsys):
+    # evaluate keeps its episode queue in a temporary file.
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    code = main(["eval", "--ckpt", trained_ckpt, "--fold", "0",
+                 "--episodes", "10"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error = OSError: [Errno 28] No space left on device\n")
 
 
 def test_report_describes_checkpoint(trained_ckpt, capsys):

@@ -8,7 +8,7 @@ import os
 import signal
 import subprocess
 import sys
-import threading
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -755,28 +755,92 @@ def test_evaluate_reports_a_helper_that_died(monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_claim_and_score_stops_at_a_lock_its_dead_peer_holds():
-    # score takes the lock and raises, standing in for a peer that died
-    # holding it: the failing process must give up on the lock, not wait
-    # for it for good.
-    lock = multiprocessing.get_context("fork").Lock()
-    gone = []
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_evaluate_raises_a_failed_queue_before_forking(monkeypatch):
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    def fork():
+        raise AssertionError("evaluate forked without its episode queue")
+
+    net = FewShotSegmenter(TINY)
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$"):
+        evaluate(net, k=1, episodes=3)
+    assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _index_queue(count):
+    """A queue as _share_episodes writes it: 0 ... count-1 as 8-byte
+    little-endian words in an unnamed file, read from its start."""
+    queue = tempfile.TemporaryFile()
+    queue.write(np.arange(count, dtype="<u8").tobytes())
+    queue.seek(0)
+    return queue
+
+
+def _drain_with_a_peer(queue, score):
+    """_claim_and_score on one queue in the caller and a forked peer at
+    once: (the caller's result, the peer's)."""
+    def body(inbox, outbox, caller_alive):
+        outbox.send(harness._claim_and_score(queue.fileno(), score,
+                                             caller_alive))
+
+    with harness._Helper("peer", body) as peer:
+        mine = harness._claim_and_score(queue.fileno(), score, peer.alive)
+        return mine, peer.recv()
+
+
+def _claimed(done):
+    return [i for i, _ in done]
+
+
+def test_a_forked_pair_claims_each_queued_index_once_in_order():
+    count = 20000
 
     def score(i):
-        lock.acquire()
-        gone.append(i)
-        raise ValidationError("episode %d failed" % i)
+        if i == 0:  # hold index 0 until the other process has claimed two
+            deadline = time.monotonic() + 10
+            while os.lseek(queue.fileno(), 0, os.SEEK_CUR) < 3 * 8:
+                assert time.monotonic() < deadline, "the peer never claimed"
+        return os.getpid()
 
-    result = []
-    worker = threading.Thread(daemon=True, target=lambda: result.append(
-        harness._claim_and_score(bytearray(8), lock, score, 5,
-                                 lambda: not gone)))
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive(), "waited for good on a dead peer's lock"
-    ((done, (index, exc)),) = result
-    assert done == [] and index == 0
-    assert str(exc) == "episode 0 failed"
+    with _index_queue(count) as queue:
+        (mine, my_error), (theirs, their_error) = _drain_with_a_peer(queue,
+                                                                     score)
+    assert my_error is None and their_error is None
+    assert mine and theirs
+    assert {pid for _, pid in mine} == {os.getpid()}
+    assert os.getpid() not in {pid for _, pid in theirs}
+    for done in (mine, theirs):
+        claimed = _claimed(done)
+        assert all(a < b for a, b in zip(claimed, claimed[1:]))
+    assert sorted(_claimed(mine + theirs)) == list(range(count))
+
+
+def test_a_failing_claim_stops_its_slowed_peer_after_its_episode_in_flight():
+    fail_at = 40
+
+    def score(i):
+        if i == fail_at:
+            raise ValidationError("episode %d failed" % i)
+        time.sleep(0.01)
+
+    with _index_queue(1000) as queue:
+        (mine, my_error), (theirs, their_error) = _drain_with_a_peer(queue,
+                                                                     score)
+        assert os.read(queue.fileno(), 8) == b""
+    ((index, exc),) = [e for e in (my_error, their_error) if e is not None]
+    assert index == fail_at and str(exc) == "episode 40 failed"
+    failed, peer = (mine, theirs) if my_error else (theirs, mine)
+    assert max(_claimed(failed), default=-1) < fail_at
+    assert len([i for i in _claimed(peer) if i > fail_at]) <= 1
+    below = sorted(i for i in _claimed(mine + theirs) if i < fail_at)
+    assert below == list(range(fail_at))
 
 
 def _ignores(pid, signum):
