@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile  # loaded already, by numpy
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -18,9 +15,9 @@ from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, check_int, config_from_dict
 from .encoder import masked_avg_pool
 from .episodes import FoldSplit, default_classes, make_folds, sample_episode
-from .errors import (DimensionError, FormatError, ProtosegError, TrainingError,
-                     ValidationError)
+from .errors import DimensionError, FormatError, TrainingError, ValidationError
 from .fusion import bce_loss, binarize
+from .helper import _pair_episodes, _share_episodes
 from .metrics import EvalReport, fb_iou, iou, miou
 from .network import FewShotSegmenter
 from .seeding import derive_rng, derive_seed
@@ -133,14 +130,13 @@ def train(config: Config, out_dir=None,
     """Episodic training: two episodes per optimizer step via gradient
     accumulation, one checkpoint per epoch when out_dir is given.
 
-    A step's two episodes run on two CPUs: the caller draws, forwards and
-    backwards the first while a helper process, forked once per call, does
-    the same for the second against the same weights (`_shared`). The
-    helper sends its gradient pieces over its pipe (`_PieceLog`); the
-    caller adds them onto its own gradient and steps SGD. The batch-1 tail
-    step of an odd episodes_per_epoch runs in the caller alone. Losses,
-    weights and checkpoints are the same, bit for bit, as one process
-    running the episodes in turn.
+    The caller runs a step's first episode while a helper process, forked
+    once per call (`helper._pair_episodes`), runs the second; an odd
+    epoch's last step runs in the caller alone. Losses, weights and
+    checkpoints are the same, bit for bit, as one process running the
+    episodes in turn. A non-finite weight after a step raises
+    TrainingError. The helper exits when the call returns (it reads EOF),
+    or is stopped at once when the call raises.
     """
     net = FewShotSegmenter(config)
     split = default_split(config)
@@ -163,54 +159,30 @@ def train(config: Config, out_dir=None,
         ad.backward(tape, scaled)
         return value
 
-    def serve(inbox, outbox, caller_alive) -> None:
-        """Helper body: run each episode the caller asks for, then send its
-        loss and the layout of its gradient pieces, then each raw piece in
-        backward order; or send its exception instead."""
-        log: list[tuple[int, np.ndarray]] = []
-        for i, p in enumerate(params):
-            p.grad = _PieceLog(i, log)
-        while True:
-            try:
-                index, epoch = inbox.recv()
-            except EOFError:  # the caller is done, or gone
-                return
-            log.clear()
-            try:
-                loss = run_episode(index, epoch, 2)
-            except Exception as exc:
-                outbox.send(exc)
-                return
-            outbox.send((loss, [(i, piece.dtype.str) for i, piece in log]))
-            for _, piece in log:
-                outbox.send_bytes(np.ascontiguousarray(piece))
-
     losses: list[float] = []
     checkpoints: list[Path] = []
-    episode_index = 0
-    with _shared(params), _Helper("training", serve) as helper:
+    episode_index = step = 0
+    with _pair_episodes(params, run_episode) as pair:
         for epoch in range(config.epochs):
             epoch_losses = []
-            remaining = config.episodes_per_epoch
-            while remaining:
-                batch = min(2, remaining)
-                remaining -= batch
+            for start in range(0, config.episodes_per_epoch, 2):
+                batch = min(2, config.episodes_per_epoch - start)
                 opt.zero_grad()
                 if batch == 2:
-                    helper.send((episode_index + 1, epoch))
-                epoch_losses.append(run_episode(episode_index, epoch, batch))
-                if batch == 2:
-                    reply = helper.recv()
-                    if isinstance(reply, Exception):
-                        raise reply
-                    loss, layout = reply
-                    for i, dtype in layout:  # one piece in memory at a time
-                        p = params[i]
-                        piece = np.frombuffer(helper.recv_bytes(), dtype)
-                        ad._accumulate(p, piece.reshape(p.shape))
-                    epoch_losses.append(loss)
+                    epoch_losses.extend(pair(episode_index, epoch))
+                else:
+                    epoch_losses.append(run_episode(episode_index, epoch, 1))
                 opt.step()
+                bad = [p.name for p in params if not np.isfinite(p.data).all()]
+                if bad:
+                    seeds = [derive_seed(config.seed, "train", i) for i in
+                             range(episode_index, episode_index + batch)]
+                    raise TrainingError(
+                        "non-finite weight %s after optimizer step %d (epoch "
+                        "%d, episode seeds %s)" % (bad[0], step, epoch,
+                                                   " and ".join(map(str, seeds))))
                 episode_index += batch
+                step += 1
             losses.extend(epoch_losses)
             if out_dir is not None:
                 path = Path(out_dir) / ("checkpoint-epoch%03d.ckpt" % epoch)
@@ -219,51 +191,6 @@ def train(config: Config, out_dir=None,
             if progress is not None:
                 progress(epoch, float(np.mean(epoch_losses)))
     return TrainResult(network=net, losses=losses, checkpoints=checkpoints)
-
-
-@contextmanager
-def _shared(params: list[Parameter]):
-    """Keep the parameters' data in one anonymous shared map for the block.
-    SGD updates it in place, so a helper forked inside the block always
-    computes with the caller's weights."""
-    import mmap
-
-    offsets, size = [], 0
-    for p in params:
-        offsets.append(size)
-        size += -(-p.data.nbytes // 64) * 64  # 64-byte aligned views
-    shared = np.frombuffer(mmap.mmap(-1, size), np.uint8)
-    try:
-        for p, offset in zip(params, offsets):
-            view = shared[offset:offset + p.data.nbytes]
-            view = view.view(p.dtype).reshape(p.shape)
-            view[...] = p.data
-            p.data = view
-        yield
-    finally:
-        for p in params:  # the shared map goes with its last view
-            p.data = p.data.copy()
-
-
-class _PieceLog:
-    """Stands in for a parameter's gradient in the training helper:
-    `autodiff._accumulate` adds each gradient piece onto it with +=, and
-    it logs the piece, untouched, with the parameter's index.
-
-    A parameter used twice in one episode gets two gradient pieces. Float
-    addition does not associate, so adding the sum of the helper's pieces
-    could differ in the last bit from one process adding them in turn. So
-    the helper hands the caller every raw piece, in backward order, and the
-    caller accumulates them one at a time in that order.
-    """
-
-    def __init__(self, index: int, log: list):
-        self.index = index
-        self.log = log
-
-    def __iadd__(self, piece: np.ndarray) -> "_PieceLog":
-        self.log.append((self.index, piece))
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +204,9 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
 
     The caller and one forked helper process score the episodes between
     them, each claiming the next episode index from one shared queue
-    (`_share_episodes`). The report sums the scores in episode order, so
-    it is the same, bit for bit, as one process scoring them in turn.
+    (`helper._share_episodes`), and the helper returns once the queue
+    reads empty. The report sums the scores in episode order, so it is the
+    same, bit for bit, as one process scoring them in turn.
     """
     cfg = net.config
     if k is None:
@@ -318,147 +246,6 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
         per_class_iou={c: float(np.mean(v)) for c, v in per_class.items()},
         mean_loss=float(np.mean(loss_values)),
     )
-
-
-def _share_episodes(score: Callable[[int], tuple], count: int) -> list[tuple]:
-    """[score(0), ..., score(count - 1)], computed by the caller and one
-    forked helper process on both CPUs, or the exception of the lowest
-    index that raised.
-
-    The indices wait in a queue, an unnamed temporary file of 8-byte
-    words that both processes read through one shared file offset. Each
-    process claims the next index with one read and scores it; splitting
-    by episode rather than by stage keeps both busy whatever an episode's
-    stages cost. POSIX has a read() through one open file description
-    update its offset atomically, across processes too (Linux since 3.14,
-    read(2), BUGS), so each index goes out once and in increasing order:
-    every index below a failing one has been claimed, and is scored, when
-    both stop. The helper sends its results once, at the end.
-    """
-    with tempfile.TemporaryFile() as queue:
-        queue.write(np.arange(count, dtype="<u8").tobytes())
-        queue.seek(0)
-
-        def body(inbox, outbox, caller_alive) -> None:
-            outbox.send(_claim_and_score(queue.fileno(), score, caller_alive))
-
-        with _Helper("evaluation", body) as helper:
-            mine, my_error = _claim_and_score(queue.fileno(), score,
-                                              helper.alive)
-            theirs, their_error = helper.recv()
-    errors = [e for e in (my_error, their_error) if e is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return [row for _, row in sorted(mine + theirs, key=lambda r: r[0])]
-
-
-def _claim_and_score(queue: int, score, alive
-                     ) -> tuple[list, Optional[tuple[int, Exception]]]:
-    """Score the indices read from descriptor `queue`, one 8-byte word
-    each, until it reads empty or `alive()` says the other process is
-    gone. A failing process moves the shared offset to the end, so the
-    other claims nothing after its episode in flight. Returns the
-    (index, result) pairs and the first failure as (index, exception)."""
-    done = []
-    while alive():
-        word = os.read(queue, 8)
-        if not word:
-            break
-        i = int.from_bytes(word, "little")
-        try:
-            done.append((i, score(i)))
-        except Exception as exc:
-            os.lseek(queue, 0, os.SEEK_END)
-            return done, (i, exc)
-    return done, None
-
-
-# ---------------------------------------------------------------------------
-# helper processes
-
-
-class _Helper:
-    """One helper process, forked for a with-block, and a pipe each way.
-
-    The helper runs body(inbox, outbox, caller_alive): it reads what the
-    caller sends and writes what the caller receives. It ignores SIGINT
-    (Ctrl-C reaches the whole process group, and the caller stops it).
-    It stops when its caller is gone, even by SIGKILL: it has closed its
-    copies of the caller's pipe ends, so a read then sees EOF and a write
-    ends it quietly (SIGPIPE), and caller_alive() turns false. On leaving
-    the block the caller terminates and joins it, so nothing is left
-    holding a descriptor. Once it has died, `send`, `recv` and
-    `recv_bytes` raise ProtosegError("<what> helper exited with code N").
-    It needs the `fork` start method: a spawned helper would import numpy
-    and the package again, and could not receive body.
-    """
-
-    def __init__(self, what: str, body: Callable):
-        # Imported here: callers that never fork should not pay for it.
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self.what = what
-        inbox, self._to_helper = ctx.Pipe(duplex=False)
-        self._from_helper, outbox = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(
-            target=_helper_main, daemon=True,
-            args=(body, os.getpid(), (inbox, outbox),
-                  (self._to_helper, self._from_helper)))
-        try:
-            with inbox, outbox:
-                self._process.start()
-        except BaseException:
-            self._to_helper.close()
-            self._from_helper.close()
-            raise
-
-    def __enter__(self) -> "_Helper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._process.terminate()
-        self._process.join()
-        self._process.close()
-        self._to_helper.close()
-        self._from_helper.close()
-
-    def alive(self) -> bool:
-        return self._process.is_alive()
-
-    def send(self, message) -> None:
-        try:
-            self._to_helper.send(message)
-        except BrokenPipeError:
-            self._exited()
-
-    def recv(self):
-        try:
-            return self._from_helper.recv()
-        except EOFError:
-            self._exited()
-
-    def recv_bytes(self) -> bytes:
-        try:
-            return self._from_helper.recv_bytes()
-        except EOFError:
-            self._exited()
-
-    def _exited(self):
-        self._process.join()
-        raise ProtosegError("%s helper exited with code %s"
-                            % (self.what, self._process.exitcode)) from None
-
-
-def _helper_main(body: Callable, caller: int, ends, callers_ends) -> None:
-    import signal  # loaded already, by multiprocessing
-
-    for end in callers_ends:
-        end.close()
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # An orphan is re-parented, so its parent id changes.
-    body(*ends, lambda: os.getppid() == caller)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from protoseg.episodes import (FG_MAX, FG_MIN, DefectClass, DistortionParams,
                                generate_sample, make_folds, sample_episode,
                                warp_mask)
 from protoseg.errors import ConfigError, DegenerateEpisodeError
-from protoseg.harness import _share_episodes
+from protoseg.helper import _share_episodes
 
 from oracles import (naive_paint_discs, reference_generate_sample,
                      reference_warp_mask)

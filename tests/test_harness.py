@@ -18,6 +18,7 @@ import pytest
 
 import protoseg
 import protoseg.harness as harness
+import protoseg.helper
 from protoseg import autodiff as ad
 from protoseg.autodiff import Parameter, Tape, Tensor
 from protoseg.config import Config
@@ -153,6 +154,44 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     with pytest.raises(TrainingError) as err:
         train(TINY)
     assert "episode seed" in str(err.value)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("episodes_per_epoch, poisoned, epoch, indices", [
+    (4, 2, 1, (4, 5)),  # epoch 1's first step, two episodes
+    (3, 1, 0, (2,)),    # epoch 0's one-episode tail step
+])
+def test_train_raises_on_a_non_finite_weight_before_the_next_forward(
+        monkeypatch, tmp_path, episodes_per_epoch, poisoned, epoch, indices):
+    # Optimizer step `poisoned` writes inf into one weight. Every forward,
+    # in either process, logs its seed and whether its weights are finite.
+    cfg = TINY.with_overrides(episodes_per_epoch=episodes_per_epoch)
+    log, steps, step = tmp_path / "forwards", [], SGD.step
+
+    def poisoning_step(self):
+        step(self)
+        if len(steps) == poisoned:
+            self.params[3].data.flat[0] = np.inf
+        steps.append(None)
+
+    class Logged(FewShotSegmenter):
+        def episode_loss(self, episode):
+            finite = all(np.isfinite(p.data).all() for p in self.parameters())
+            with open(log, "a") as f:
+                f.write("%d %s\n" % (episode.seed, finite))
+            return super().episode_loss(episode)
+
+    monkeypatch.setattr(SGD, "step", poisoning_step)
+    monkeypatch.setattr(harness, "FewShotSegmenter", Logged)
+    name = FewShotSegmenter(cfg).parameters()[3].name
+    seeds = [derive_seed(cfg.seed, "train", i) for i in range(indices[-1] + 1)]
+    with pytest.raises(TrainingError, match=(
+            r"^non-finite weight %s after optimizer step %d \(epoch %d, "
+            r"episode seeds %s\)$" % (name, poisoned, epoch, " and ".join(
+                str(seeds[i]) for i in indices)))):
+        train(cfg)
+    assert sorted(log.read_text().split("\n")[:-1]) == sorted(
+        "%d True" % s for s in seeds)
     assert not multiprocessing.active_children()
 
 
@@ -309,7 +348,7 @@ def test_train_reports_a_helper_that_died_between_layout_and_pieces(
     # before its first piece: the caller's read of that piece raises.
     caller = os.getpid()
     send_bytes = multiprocessing.connection.Connection.send_bytes
-    recv = harness._Helper.recv
+    recv = protoseg.helper._Helper.recv
     replies = []
 
     def die(self, *args):
@@ -324,7 +363,7 @@ def test_train_reports_a_helper_that_died_between_layout_and_pieces(
     before = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes",
                         die)
-    monkeypatch.setattr(harness._Helper, "recv", logged_recv)
+    monkeypatch.setattr(protoseg.helper._Helper, "recv", logged_recv)
     with pytest.raises(ProtosegError, match="^training helper exited with "
                                             "code 3$"):
         train(TINY)
@@ -399,6 +438,54 @@ def test_train_and_evaluate_leave_no_worker():
     assert not multiprocessing.active_children()
 
 
+def _reaped_exit_codes(monkeypatch):
+    """The list that the exit code of each helper reaped from now on is
+    appended to; `_Helper.__exit__` closes the process object after it."""
+    codes, close = [], multiprocessing.process.BaseProcess.close
+
+    def recording_close(self):
+        codes.append(self.exitcode)
+        close(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "close",
+                        recording_close)
+    return codes
+
+
+def test_helpers_return_with_code_0_after_a_normal_call(monkeypatch):
+    # Not terminated (-SIGTERM): the training helper reads EOF once the
+    # caller closes its pipe ends; the evaluation helper has sent its scores.
+    codes = _reaped_exit_codes(monkeypatch)
+    result = train(TINY)
+    assert codes == [0]
+    evaluate(result.network, k=1, episodes=6)
+    assert codes == [0, 0]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_a_helper_that_ignores_eof_is_terminated_after_the_wait(monkeypatch):
+    codes = _reaped_exit_codes(monkeypatch)
+    monkeypatch.setattr(protoseg.helper, "EXIT_WAIT_S", 0.5)
+
+    def body(inbox, outbox, caller_alive):
+        outbox.send("ready")
+        try:
+            inbox.recv()
+        except EOFError:
+            time.sleep(60)  # instead of returning
+
+    before = len(os.listdir("/proc/self/fd"))
+    with protoseg.helper._Helper("stubborn", body) as stubborn:
+        assert stubborn.recv() == "ready"
+        left = time.monotonic()
+    assert 0.5 <= time.monotonic() - left < 30
+    assert codes == [-signal.SIGTERM]
+    assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_render_error_in_worker_keeps_type_and_message():
     with pytest.raises(ConfigError) as direct:
         sample_episode(default_split(TINY), "test", 0, 0, TINY.image_size)
@@ -454,9 +541,9 @@ def test_seed_outside_32_bits_is_refused():
 
 
 def test_import_does_not_load_multiprocessing():
-    # train and evaluate import multiprocessing and mmap when they fork
-    # their helper; a fresh interpreter's import of the package stays
-    # without them.
+    # train and evaluate import multiprocessing when they fork their
+    # helper, and train alone imports mmap for the weights it shares with
+    # it; a fresh interpreter's import of the package stays without them.
     src = str(Path(protoseg.__file__).resolve().parent.parent)
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import protoseg.harness, protoseg.cli; "
@@ -787,11 +874,12 @@ def _drain_with_a_peer(queue, score):
     """_claim_and_score on one queue in the caller and a forked peer at
     once: (the caller's result, the peer's)."""
     def body(inbox, outbox, caller_alive):
-        outbox.send(harness._claim_and_score(queue.fileno(), score,
-                                             caller_alive))
+        outbox.send(protoseg.helper._claim_and_score(queue.fileno(), score,
+                                                     caller_alive))
 
-    with harness._Helper("peer", body) as peer:
-        mine = harness._claim_and_score(queue.fileno(), score, peer.alive)
+    with protoseg.helper._Helper("peer", body) as peer:
+        mine = protoseg.helper._claim_and_score(queue.fileno(), score,
+                                                peer.alive)
         return mine, peer.recv()
 
 

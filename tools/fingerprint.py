@@ -15,10 +15,12 @@ thread, then hashes, in order:
                           network at K=1 and K=5
   gradcheck               the floats of `gradcheck_model(Config())`
 
-It prints one sha256 per part and one over all parts. A change that claims
-to keep outputs bit-identical prints the same lines as its parent. A change
-of checkpoint layout alone (shapes, header) moves only the `files` lines
-and the total:
+It first prints `blas_core = <name>`, the OpenBLAS kernel numpy's bundled
+library runs on (`unknown` if it cannot tell), since the bytes depend on
+it; that line is not hashed. Then it prints one sha256 per part and one
+over all parts. A change that claims to keep outputs bit-identical prints
+the same lines as its parent on the same kernel. A change of checkpoint
+layout alone (shapes, header) moves only the `files` lines and the total:
 
     git archive --prefix=parent/ HEAD | tar -x -C /tmp
     python3 tools/fingerprint.py /tmp/parent/src > parent.txt
@@ -53,6 +55,25 @@ def import_protoseg(src: Path) -> None:
                  % (found, src))
 
 
+def blas_core() -> str:
+    """The core name that numpy's bundled OpenBLAS reports through
+    scipy_openblas_get_corename64_ (`SkylakeX`, or `Haswell` under
+    OPENBLAS_CORETYPE=Haswell), or "unknown" without that symbol."""
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        try:  # dlopen hands back the copy numpy has loaded
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def parts():
     """Yield (label, bytes) for every hashed part, in a fixed order."""
     from protoseg.config import Config
@@ -85,6 +106,7 @@ def main(argv) -> None:
         sys.exit(__doc__)
     default = Path(__file__).resolve().parent.parent / "src"
     import_protoseg(Path(argv[0] if argv else default).resolve())
+    print("blas_core = %s" % blas_core(), flush=True)
     total = hashlib.sha256()
     for label, blob in parts():
         digest = hashlib.sha256(blob).hexdigest()
