@@ -26,9 +26,11 @@ from .storage import read_checkpoint, write_checkpoint
 CHECKPOINT_FORMAT = "protoseg-checkpoint"
 # Bumped whenever the header or the parameter layout changes; load_network
 # accepts only this version.
-CHECKPOINT_VERSION = 3
-# Central-difference step of the gradient audit, in float64.
+CHECKPOINT_VERSION = 4
+# Central-difference step of the gradient audit, in float64, and the most
+# coordinates it perturbs per parameter.
 GRADCHECK_EPS = 1e-6
+GRADCHECK_COORDS = 8
 
 ABLATION_ROWS: tuple[tuple[str, dict], ...] = (
     ("reasoning", dict(graph_reasoning=True, excitation=False, edge_fusion=False)),
@@ -72,7 +74,6 @@ def default_split(config: Config) -> FoldSplit:
 
 def save_checkpoint(path, net: FewShotSegmenter, epoch: int,
                     episodes_consumed: int) -> Path:
-    params = net.parameters()
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -80,9 +81,8 @@ def save_checkpoint(path, net: FewShotSegmenter, epoch: int,
         "config": net.config.to_dict(),
         "rng": {"scheme": "seed-path", "root_seed": net.config.seed,
                 "train_episodes_consumed": episodes_consumed},
-        "parameters": [p.name for p in params],
     }
-    arrays = {p.name: p.data for p in params}
+    arrays = {p.name: p.data for p in net.parameters()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(path, header, arrays)
@@ -305,8 +305,7 @@ def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> Tensor
     return Tensor(data.astype(np.float64))
 
 
-def gradcheck_model(config: Config,
-                    max_coords_per_param: int = 8) -> dict[str, float]:
+def gradcheck_model(config: Config) -> dict[str, float]:
     """Worst relative gradient error per module and for the full pipeline,
     measured in float64 on a small 1-shot episode."""
     toy = config.with_overrides(image_size=16, channels=8, proto_dim=4,
@@ -327,7 +326,7 @@ def gradcheck_model(config: Config,
 
     def check(function, params) -> float:
         return grad_check(function, params, eps=GRADCHECK_EPS,
-                          max_coords_per_param=max_coords_per_param)
+                          max_coords_per_param=GRADCHECK_COORDS)
 
     image = episode.images[-1].astype(np.float64)
 
@@ -389,6 +388,5 @@ def model_report(path) -> str:
             value = "true" if value else "false"
         lines.append("config_%s = %s" % (key, value))
     lines.append("json = %s" % json.dumps(
-        {"header": {k: v for k, v in header.items() if k != "parameters"},
-         "module_parameters": counts}, sort_keys=True))
+        {"header": header, "module_parameters": counts}, sort_keys=True))
     return "\n".join(lines)

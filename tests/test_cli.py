@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from protoseg.cli import main
+from protoseg.config import load_config
+from protoseg.errors import FormatError
+from protoseg.harness import load_network
+from protoseg.network import FewShotSegmenter
 
 TINY_CFG = """
 image_size = 16
@@ -123,6 +127,42 @@ def test_report_huge_learning_rate_is_config_error(trained_ckpt, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error = ConfigError: learning_rate")
         assert err.count("\n") == 1
+
+
+def _write_version_3(path, net):
+    """A checkpoint in the layout of versions 1 to 3: a header line with a
+    `parameters` name list, then per tensor one record of magic b"LTSR",
+    record version 1, dtype code 0 (float32), rank, a zero byte, u32
+    extents and the row-major payload."""
+    params = net.parameters()
+    header = {"format": "protoseg-checkpoint", "version": 3, "epoch": 0,
+              "config": net.config.to_dict(),
+              "rng": {"scheme": "seed-path", "root_seed": net.config.seed,
+                      "train_episodes_consumed": 0},
+              "parameters": [p.name for p in params]}
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    raw += b"\n"
+    for p in params:
+        arr = np.asarray(p.data, dtype="<f4")
+        raw += b"LTSR" + bytes([1, 0, arr.ndim, 0])
+        raw += np.asarray(arr.shape, dtype="<u4").tobytes() + arr.tobytes()
+    path.write_bytes(raw)
+
+
+def test_version_3_checkpoint_is_one_tensors_error(tiny_config, tmp_path,
+                                                    capsys):
+    path = tmp_path / "v3.ckpt"
+    _write_version_3(path, FewShotSegmenter(load_config(tiny_config)))
+    with pytest.raises(FormatError) as err:
+        load_network(path)
+    assert str(err.value).startswith("tensors:")
+    for argv in (["eval", "--ckpt", str(path), "--fold", "0"],
+                 ["report", "--ckpt", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error = FormatError: tensors: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_gradcheck_passes_and_prints_modules(capsys):

@@ -628,7 +628,7 @@ def test_load_network_rejects_foreign_file(tmp_path):
     from protoseg.storage import write_checkpoint
 
     path = tmp_path / "alien.ckpt"
-    write_checkpoint(path, {"format": "other", "parameters": ["x"]},
+    write_checkpoint(path, {"format": "other"},
                      {"x": np.zeros(1, dtype=np.float32)})
     with pytest.raises(FormatError):
         load_network(path)
@@ -1152,8 +1152,9 @@ def test_ablate_rejects_non_integer_eval_episodes(monkeypatch, eval_episodes):
 # gradient audit and report
 
 
-def test_gradcheck_model_under_tolerance():
-    results = gradcheck_model(Config(), max_coords_per_param=4)
+def test_gradcheck_model_under_tolerance(monkeypatch):
+    monkeypatch.setattr(harness, "GRADCHECK_COORDS", 4)
+    results = gradcheck_model(Config())
     assert set(results) >= {"encoder", "reasoning", "excitation", "fusion",
                             "pipeline"}
     worst = max(results.values())
