@@ -1,10 +1,12 @@
 """protoseg: few-shot surface-defect segmentation at desk scale.
 
-PROTOSEG_THREADS caps the BLAS worker count (default 1, for bit-reproducible
-runs). It must take effect before numpy first loads, which is why it is
-handled here at package import; a value that is not a positive integer
-raises ConfigError. When numpy is already loaded and no BLAS variable is
-set, the cap cannot take effect, and a RuntimeWarning says so.
+BLAS runs one thread per process: `train` and `evaluate` already run two
+processes, one per CPU, and extra BLAS threads only fight them for the
+cores (on 2 vCPUs, 2 threads made a desk `train` 4-7x slower). So importing
+protoseg sets every unset variable in _BLAS_VARS to 1, which takes effect
+only if numpy has not loaded yet; a variable already set is left alone. If
+numpy loaded first, a RuntimeWarning fires unless the count OpenBLAS read
+is "1": OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS when that is unset.
 """
 
 import os as _os
@@ -14,17 +16,12 @@ import warnings as _warnings
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS")
 
-if "numpy" in _sys.modules and not any(v in _os.environ for v in _BLAS_VARS):
+if "numpy" in _sys.modules and _os.environ.get(
+        "OPENBLAS_NUM_THREADS", _os.environ.get("OMP_NUM_THREADS")) != "1":
     _warnings.warn(
-        "numpy was imported before protoseg with no BLAS thread variable set, "
-        "so PROTOSEG_THREADS cannot cap the BLAS threads; import protoseg "
-        "first or set OPENBLAS_NUM_THREADS before numpy loads",
+        "numpy was imported before protoseg without OPENBLAS_NUM_THREADS=1 "
+        "(or OMP_NUM_THREADS=1), so BLAS may run several threads per "
+        "process; import protoseg first or set OPENBLAS_NUM_THREADS=1",
         RuntimeWarning, stacklevel=2)
-
-_threads = _os.environ.get("PROTOSEG_THREADS", "1")
-if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
-    from .errors import ConfigError
-    raise ConfigError("PROTOSEG_THREADS must be a positive integer, got %r"
-                      % _threads)
 for _var in _BLAS_VARS:
-    _os.environ.setdefault(_var, _threads)
+    _os.environ.setdefault(_var, "1")

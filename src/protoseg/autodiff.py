@@ -504,9 +504,9 @@ def _col2im(g: np.ndarray, weight: np.ndarray, x_shape: tuple[int, int, int],
     Every element receives its taps in (di, dj) order onto +0.0, as a
     tap-by-tap scatter adds them. For finite weights the layout's padding
     columns add signed zeros, and a sum started at +0.0 never turns into
-    -0.0, so they change no bit; likewise the broadcast product used for
-    c_out == 1 (a K=1 GEMM in BLAS) differs from the GEMM only in the sign
-    of zeros.
+    -0.0, so they change no bit; likewise the outer product that einsum
+    forms for c_out == 1 (a K=1 GEMM in BLAS), one multiply per element,
+    differs from the GEMM only in the sign of zeros.
     """
     c_out, c_in, k, _ = weight.shape
     _, hh, ww = g.shape
@@ -527,9 +527,11 @@ def _col2im(g: np.ndarray, weight: np.ndarray, x_shape: tuple[int, int, int],
     # One kernel row of taps at a time, into one reused buffer.
     taps = np.empty((k * c_in, rows * wq), dtype=np.result_type(wt, gq))
     runs = taps.reshape(k, n)
-    product = np.multiply if c_out == 1 else np.matmul
     for di in range(k):
-        product(wt[di], gq, out=taps)
+        if c_out == 1:
+            np.einsum("i,j->ij", wt[di, :, 0], gq[0], out=taps)
+        else:
+            np.matmul(wt[di], gq, out=taps)
         for dj in range(k):
             at = (di // s) * wq + dj // s
             planes[di % s, dj % s, at:at + n] += runs[dj]

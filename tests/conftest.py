@@ -1,15 +1,13 @@
-# Pin BLAS to one thread before numpy loads anywhere in the test session;
-# the byte-determinism guarantees assume serial kernels.
+# protoseg pins BLAS to one thread at import; import it before numpy loads
+# anywhere in the test session, since the byte-determinism guarantees
+# assume serial kernels.
+import protoseg  # noqa: F401  (before numpy)
+
 import glob
 import os
 import signal
 
 import pytest
-
-os.environ["PROTOSEG_THREADS"] = "1"
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-             "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 
 def _children() -> list[int]:

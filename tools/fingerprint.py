@@ -2,8 +2,8 @@
 
     python3 tools/fingerprint.py [SRC_DIR]
 
-Imports protoseg from SRC_DIR (default: this checkout's src/) with one BLAS
-thread, then hashes, in order:
+Imports protoseg from SRC_DIR (default: this checkout's src/) with every
+BLAS thread variable set to 1, then hashes, in order:
 
   losses seed=S fold=S    the loss list of the default desk `train`, for
                           S = 0, 1, 2
@@ -16,11 +16,13 @@ thread, then hashes, in order:
   gradcheck               the floats of `gradcheck_model(Config())`
 
 It first prints `blas_core = <name>`, the OpenBLAS kernel numpy's bundled
-library runs on (`unknown` if it cannot tell), since the bytes depend on
-it; that line is not hashed. Then it prints one sha256 per part and one
-over all parts. A change that claims to keep outputs bit-identical prints
-the same lines as its parent on the same kernel. A change of checkpoint
-layout alone (shapes, header) moves only the `files` lines and the total:
+library runs on, since the bytes depend on it, and `blas_threads = <n>`,
+the thread count that library runs, which shows that the one-thread rule
+held; each says `unknown` if it cannot tell, and neither is hashed. Then
+it prints one sha256 per part and one over all parts. A change that claims
+to keep outputs bit-identical prints the same lines as its parent on the
+same kernel. A change of checkpoint layout alone (shapes, header) moves
+only the `files` lines and the total:
 
     git archive --prefix=parent/ HEAD | tar -x -C /tmp
     python3 tools/fingerprint.py /tmp/parent/src > parent.txt
@@ -28,6 +30,7 @@ layout alone (shapes, header) moves only the `files` lines and the total:
     diff parent.txt change.txt
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -37,41 +40,50 @@ from pathlib import Path
 
 SEEDS = (0, 1, 2)
 EVAL_EPISODES = 20
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS")
 
 
 def import_protoseg(src: Path) -> None:
-    """Import protoseg from src with PROTOSEG_THREADS=1 deciding the BLAS
-    thread count, and refuse a copy found anywhere else."""
-    os.environ["PROTOSEG_THREADS"] = "1"
-    for var in BLAS_VARS:
-        os.environ.pop(var, None)
+    """Import protoseg from src, refusing a copy found anywhere else, and
+    set every BLAS thread variable it names to 1 before numpy loads, so
+    that a value from the shell cannot reach the hashes."""
     sys.path.insert(0, str(src))
     import protoseg
     found = Path(protoseg.__file__).resolve().parent
     if found != src / "protoseg":
         sys.exit("fingerprint: imported protoseg from %s, not from %s"
                  % (found, src))
+    for var in protoseg._BLAS_VARS:
+        os.environ[var] = "1"
 
 
-def blas_core() -> str:
-    """The core name that numpy's bundled OpenBLAS reports through
-    scipy_openblas_get_corename64_ (`SkylakeX`, or `Haswell` under
-    OPENBLAS_CORETYPE=Haswell), or "unknown" without that symbol."""
-    import ctypes
-
+def openblas(symbol: str, restype):
+    """Call scipy_openblas_<symbol>64_ of numpy's bundled OpenBLAS and
+    return its result, or None without that library or symbol."""
     import numpy
 
     libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*.so*")):
         try:  # dlopen hands back the copy numpy has loaded
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+            fn = getattr(ctypes.CDLL(str(path)),
+                         "scipy_openblas_%s64_" % symbol)
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+        fn.restype = restype
+        return fn()
+    return None
+
+
+def blas_core() -> str:
+    """The core name the bundled OpenBLAS reports (`SkylakeX`, or `Haswell`
+    under OPENBLAS_CORETYPE=Haswell)."""
+    core = openblas("get_corename", ctypes.c_char_p)
+    return "unknown" if core is None else core.decode()
+
+
+def blas_threads() -> str:
+    """The thread count the bundled OpenBLAS runs its kernels on."""
+    threads = openblas("get_num_threads", ctypes.c_int)
+    return "unknown" if threads is None else str(threads)
 
 
 def parts():
@@ -107,6 +119,7 @@ def main(argv) -> None:
     default = Path(__file__).resolve().parent.parent / "src"
     import_protoseg(Path(argv[0] if argv else default).resolve())
     print("blas_core = %s" % blas_core(), flush=True)
+    print("blas_threads = %s" % blas_threads(), flush=True)
     total = hashlib.sha256()
     for label, blob in parts():
         digest = hashlib.sha256(blob).hexdigest()
