@@ -271,16 +271,12 @@ def log(a) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def clamp(a, lo=None, hi=None) -> Tensor:
+def clamp(a, lo, hi=None) -> Tensor:
     a = _coerce(a)
-    if lo is None and hi is None:
-        raise UsageError("clamp needs at least one bound")
     out = Tensor(np.clip(a.data, lo, hi))
 
     def backward(g: np.ndarray) -> None:
-        inside = np.ones_like(a.data, dtype=bool)
-        if lo is not None:
-            inside &= a.data >= lo
+        inside = a.data >= lo
         if hi is not None:
             inside &= a.data <= hi
         _accumulate(a, g * inside)
@@ -351,24 +347,21 @@ def transpose(a) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
+def concat(tensors: Iterable) -> Tensor:
+    """Join tensors along axis 0."""
     parts = [_coerce(t) for t in tensors]
     if not parts:
         raise UsageError("concat of an empty sequence")
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    except ValueError:  # numpy's AxisError is a ValueError too
-        raise DimensionError("cannot concat %s along axis %d"
-                             % ([p.shape for p in parts], axis)) from None
-    ndim = out.data.ndim
-    axis %= ndim
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+        out = Tensor(np.concatenate([p.data for p in parts]))
+    except ValueError:
+        raise DimensionError("cannot concat %s along axis 0"
+                             % [p.shape for p in parts]) from None
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def backward(g: np.ndarray) -> None:
-        sl = [slice(None)] * ndim
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
+            _accumulate(p, g[lo:hi])
 
     return _record(out, tuple(parts), backward)
 

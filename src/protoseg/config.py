@@ -11,7 +11,7 @@ cannot silently fall back to defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .encoder import STRIDE
@@ -77,9 +77,6 @@ class Config:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def with_overrides(self, **kw) -> "Config":
-        return replace(self, **kw)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}

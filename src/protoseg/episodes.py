@@ -14,7 +14,7 @@ import functools
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -403,10 +403,21 @@ def generate_sample(cls: DefectClass, substyle: int, distortion: DistortionParam
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """Three disjoint class folds; one is held out for testing."""
+    """Three disjoint folds of the corpus's class ids; one is held out for
+    testing. A split checks itself when it is built."""
 
     folds: tuple[tuple[int, ...], ...]
     test_fold: int
+
+    def __post_init__(self) -> None:
+        ids = [cid for fold in self.folds for cid in fold]
+        count = len(default_classes())
+        if len(self.folds) != 3 or sorted(ids) != list(range(count)):
+            raise ConfigError("folds must hold each class id 0 to %d once, "
+                              "in three folds, got %r" % (count - 1, self.folds))
+        if self.test_fold not in (0, 1, 2):
+            raise ConfigError("test_fold must be 0, 1 or 2, got %r"
+                              % (self.test_fold,))
 
     @property
     def test_class_ids(self) -> tuple[int, ...]:
@@ -421,18 +432,12 @@ class FoldSplit:
         return tuple(out)
 
 
-def make_folds(class_ids: Sequence[int], seed: int, test_fold: int = 0) -> FoldSplit:
-    """Deterministic shuffle of the class ids into three equal folds."""
-    ids = [int(c) for c in class_ids]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("class ids must be distinct")
-    if len(ids) % 3:
-        raise ConfigError("class count %d does not split into three folds" % len(ids))
-    if not 0 <= test_fold < 3:
-        raise ConfigError("test_fold must be 0, 1 or 2, got %d" % test_fold)
-    rng = derive_rng(seed, "folds")
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    n = len(ids) // 3
+def make_folds(seed: int, test_fold: int) -> FoldSplit:
+    """Deterministic shuffle of the corpus's class ids into three equal
+    folds. An id is its class's index in `default_classes()`."""
+    count = len(default_classes())
+    order = derive_rng(seed, "folds").permutation(count).tolist()
+    n = count // 3
     folds = tuple(tuple(order[i * n:(i + 1) * n]) for i in range(3))
     return FoldSplit(folds=folds, test_fold=test_fold)
 
@@ -467,11 +472,6 @@ def _check_request(role: str, k: int, image_size: int) -> None:
                           % (STRIDE, image_size))
 
 
-@functools.cache
-def _class_table() -> Mapping[int, DefectClass]:
-    return MappingProxyType({c.class_id: c for c in default_classes()})
-
-
 def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
                    image_size: int = 64) -> Episode:
     """Draw one episode: a class uniformly from the requested fold role, K
@@ -481,17 +481,13 @@ def sample_episode(split: FoldSplit, role: str, k: int, seed: int,
     a log line) so downstream pooling always sees foreground.
     """
     _check_request(role, k, image_size)
-    table = _class_table()
     pool = split.train_class_ids if role == "train" else split.test_class_ids
-    for cid in pool:
-        if cid not in table:
-            raise ConfigError("fold references unknown class id %d" % cid)
     images = np.empty((k + 1, 3, image_size, image_size), np.float32)
     masks = np.empty((k + 1, image_size, image_size), np.float32)
     grid = image_size // STRIDE
     grids = np.empty((k + 1, grid, grid), np.float32)
     rng = derive_rng(seed, "episode", role)
-    cls = table[int(pool[rng.integers(len(pool))])]
+    cls = default_classes()[pool[rng.integers(len(pool))]]
     for index in range(k + 1):
         which, shot = ("support", index) if index < k else ("query", 0)
         for attempt in range(_GRID_RETRIES):

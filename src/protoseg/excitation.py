@@ -91,7 +91,7 @@ class FeatureExcitation(Module):
         if d.shape != (self.grid * self.grid, p_e.shape[1]):
             raise DimensionError("edge field %s does not match descriptors %s"
                                  % (d.shape, p_e.shape))
-        stacked = ad.concat([p_e, d], axis=0)
+        stacked = ad.concat([p_e, d])
         return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
     def __call__(self, x_s: Tensor, guidance: Tensor, x_q: Tensor) -> Tensor:

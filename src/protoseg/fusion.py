@@ -70,7 +70,7 @@ class FusionHead(Module):
             raise DimensionError("branch shapes %s / %s do not match head "
                                  "geometry (c=%d, l=%d)"
                                  % (main.shape, aux.shape, self.channels, cells))
-        x = ad.reshape(ad.concat([main, aux], axis=0),
+        x = ad.reshape(ad.concat([main, aux]),
                        2 * self.channels, self.grid, self.grid)
         for i in (0, 2):
             wa, ba = self.convs[i]

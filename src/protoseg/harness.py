@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, grad_check
 from .config import Config, check_int, config_from_dict
 from .encoder import masked_avg_pool
-from .episodes import FoldSplit, default_classes, make_folds, sample_episode
+from .episodes import FoldSplit, make_folds, sample_episode
 from .errors import DimensionError, FormatError, TrainingError, ValidationError
 from .fusion import bce_loss, binarize
 from .helper import _pair_episodes, _share_episodes
@@ -64,8 +64,7 @@ class SGD:
 
 
 def default_split(config: Config) -> FoldSplit:
-    ids = [c.class_id for c in default_classes()]
-    return make_folds(ids, config.seed, config.fold)
+    return make_folds(config.seed, config.fold)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def train(config: Config, out_dir=None,
     params = net.parameters()
     opt = SGD(params, config.learning_rate, config.momentum)
 
-    def run_episode(index: int, epoch: int, batch: int) -> float:
+    def run_episode(index: int, batch: int) -> float:
         """Draw, forward and backward one episode; returns its loss."""
         ep_seed = derive_seed(config.seed, "train", index)
         episode = sample_episode(split, "train", config.k_shot, ep_seed,
@@ -155,7 +154,8 @@ def train(config: Config, out_dir=None,
         if not np.isfinite(value):
             raise TrainingError(
                 "non-finite loss at training episode %d (episode seed %d, "
-                "epoch %d)" % (index, ep_seed, epoch))
+                "epoch %d)" % (index, ep_seed,
+                               index // config.episodes_per_epoch))
         ad.backward(tape, scaled)
         return value
 
@@ -169,9 +169,9 @@ def train(config: Config, out_dir=None,
                 batch = min(2, config.episodes_per_epoch - start)
                 opt.zero_grad()
                 if batch == 2:
-                    epoch_losses.extend(pair(episode_index, epoch))
+                    epoch_losses.extend(pair(episode_index))
                 else:
-                    epoch_losses.append(run_episode(episode_index, epoch, 1))
+                    epoch_losses.append(run_episode(episode_index, 1))
                 opt.step()
                 bad = [p.name for p in params if not np.isfinite(p.data).all()]
                 if bad:
@@ -261,7 +261,7 @@ def ablate(config: Config, eval_episodes: int = 60, out_dir=None,
     check_int("eval_episodes", eval_episodes, 1)
     rows = []
     for label, toggles in ABLATION_ROWS:
-        row_config = config.with_overrides(**toggles)
+        row_config = replace(config, **toggles)
         row_dir = Path(out_dir) / label.replace("+", "_") if out_dir else None
         result = train(row_config, out_dir=row_dir)
         report = evaluate(result.network, episodes=eval_episodes,
@@ -308,10 +308,9 @@ def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> Tensor
 def gradcheck_model(config: Config) -> dict[str, float]:
     """Worst relative gradient error per module and for the full pipeline,
     measured in float64 on a small 1-shot episode."""
-    toy = config.with_overrides(image_size=16, channels=8, proto_dim=4,
-                                encoder_width=4, encoder_depth=4, reduction=4,
-                                k_shot=1, graph_reasoning=True,
-                                excitation=True, edge_fusion=True)
+    toy = replace(config, image_size=16, channels=8, proto_dim=4,
+                  encoder_width=4, encoder_depth=4, reduction=4, k_shot=1,
+                  graph_reasoning=True, excitation=True, edge_fusion=True)
     net = FewShotSegmenter(toy, dtype=np.float64)
     # Zero-initialized layers would make most pipeline gradients trivially
     # zero; audit at a generic point in weight space instead.

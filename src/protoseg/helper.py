@@ -19,8 +19,8 @@ EXIT_WAIT_S = 5.0
 
 @contextmanager
 def _pair_episodes(params: list[Parameter],
-                   run_episode: Callable[[int, int, int], float]):
-    """Yield pair(index, epoch) -> both losses: it runs episode index in
+                   run_episode: Callable[[int, int], float]):
+    """Yield pair(index) -> both losses: it runs episode index in
     the caller and index + 1 in a helper forked for the block, on the same
     weights (`_shared`), and adds the helper's raw gradient pieces
     (`_PieceLog`) onto the caller's gradients."""
@@ -30,12 +30,12 @@ def _pair_episodes(params: list[Parameter],
             p.grad = _PieceLog(i, log)
         while True:
             try:
-                index, epoch = inbox.recv()
+                index = inbox.recv()
             except EOFError:  # the caller is done, or gone
                 return
             log.clear()
             try:
-                loss = run_episode(index, epoch, 2)
+                loss = run_episode(index, 2)
             except Exception as exc:
                 outbox.send(exc)
                 return
@@ -44,9 +44,9 @@ def _pair_episodes(params: list[Parameter],
                 outbox.send_bytes(np.ascontiguousarray(piece))
 
     with _shared(params), _Helper("training", serve) as helper:
-        def pair(index: int, epoch: int) -> tuple[float, float]:
-            helper.send((index + 1, epoch))
-            mine = run_episode(index, epoch, 2)
+        def pair(index: int) -> tuple[float, float]:
+            helper.send(index + 1)
+            mine = run_episode(index, 2)
             reply = helper.recv()
             if isinstance(reply, Exception):
                 raise reply

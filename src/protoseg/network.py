@@ -107,5 +107,3 @@ class FewShotSegmenter:
     def episode_loss(self, episode: Episode) -> Tensor:
         return bce_loss(self.forward(episode),
                         episode.masks[-1].astype(self.dtype, copy=False))
-
-    __call__ = forward

@@ -56,6 +56,10 @@ def normalized_laplacian(a: Tensor) -> Tensor:
     """
     if a.data.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("adjacency must be square, got %s" % (a.shape,))
+    # A NaN would fail the symmetry check below with a misleading message,
+    # and an inf on the diagonal would pass every check.
+    if not np.isfinite(a.data).all():
+        raise ValidationError("adjacency must be finite")
     if np.any(a.data < 0):
         raise ValidationError("adjacency entries must be nonnegative")
     if not np.allclose(a.data, a.data.T, atol=1e-8):
@@ -111,7 +115,7 @@ class GraphReasoning(Module):
         q_node, q_channel = query
         g_node = ad.matmul(q_node, ad.transpose(s_channel))
         g_channel = ad.matmul(q_channel, ad.transpose(s_node))
-        stacked = ad.concat([g_node, ad.transpose(g_channel)], axis=0)  # (2r, r)
+        stacked = ad.concat([g_node, ad.transpose(g_channel)])  # (2r, r)
         return ad.conv1d(stacked, self.fuse_w, self.fuse_b)
 
     def reflect(self, relations: Tensor, query_node: Tensor,

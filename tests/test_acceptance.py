@@ -19,6 +19,7 @@ module-scoped fixture; everything else is self-contained.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_metric_suite():
 def test_protocol_suite():
     ids = [cls.class_id for cls in default_classes()]
     for fold in range(3):
-        split = make_folds(ids, seed=DESK.seed, test_fold=fold)
+        split = make_folds(seed=DESK.seed, test_fold=fold)
         train_ids, test_ids = set(split.train_class_ids), set(split.test_class_ids)
         assert not train_ids & test_ids
         assert train_ids | test_ids == set(ids)
@@ -286,7 +287,7 @@ def test_protocol_suite():
                                 derive_seed(99, "protocol", fold, i), 16)
             assert ep.class_id in test_ids and ep.class_id not in train_ids
 
-    split = make_folds(ids, seed=DESK.seed, test_fold=0)
+    split = make_folds(seed=DESK.seed, test_fold=0)
     counts = {cid: 0 for cid in split.test_class_ids}
     n = 1000
     for i in range(n):
@@ -344,7 +345,7 @@ def echo_runs():
     start = time.monotonic()
     runs = {}
     for seed in ECHO_SEEDS:
-        cfg = DESK.with_overrides(seed=seed)
+        cfg = replace(DESK, seed=seed)
         # The full-model row's config equals cfg, so its training is the
         # one train(cfg) would run, byte for byte.
         trained = {}

@@ -538,7 +538,7 @@ def test_concat_gradients():
     b = param("b", rng.normal(size=(4, 3)))
 
     def f():
-        return ad.tensor_mean(ad.power(ad.concat([a, b], axis=0), 2.0))
+        return ad.tensor_mean(ad.power(ad.concat([a, b]), 2.0))
 
     assert grad_check(f, [a, b], eps=1e-6) < 1e-8
 
@@ -644,12 +644,8 @@ def test_reshape_rejects_bad_extents():
 def test_concat_shape_errors():
     a, b = t64(np.ones((2, 3))), t64(np.ones((2, 4)))
     with pytest.raises(DimensionError):
-        ad.concat([a, a], axis=2)             # axis out of range
+        ad.concat([a, t64(np.ones(3))])       # rank mismatch
     with pytest.raises(DimensionError):
-        ad.concat([a, t64(np.ones(3))])        # rank mismatch
-    with pytest.raises(DimensionError):
-        ad.concat([a, b], axis=0)             # extent mismatch off the axis
-    assert ad.concat([a, b], axis=1).shape == (2, 7)
-    assert ad.concat([a, b], axis=-1).shape == (2, 7)
+        ad.concat([a, b])                     # extent mismatch off axis 0
     with pytest.raises(UsageError):
         ad.concat([])

@@ -122,11 +122,11 @@ def test_huge_integer_learning_rate_is_config_error():
         config_from_dict({"learning_rate": 10 ** 400})
 
 
-def test_with_overrides_revalidates():
+def test_replace_revalidates():
     cfg = Config()
-    assert cfg.with_overrides(epochs=5).epochs == 5
+    assert dataclasses.replace(cfg, epochs=5).epochs == 5
     with pytest.raises(ConfigError):
-        cfg.with_overrides(momentum=2.0)
+        dataclasses.replace(cfg, momentum=2.0)
 
 
 def test_config_from_dict_rejects_unknown():
@@ -163,7 +163,7 @@ def test_validate_rejects_wrong_type(key, value):
         Config(**{key: value}).validate()
     assert repr(key) in str(err.value)
     with pytest.raises(ConfigError):
-        Config().with_overrides(**{key: value})
+        dataclasses.replace(Config(), **{key: value})
 
 
 def test_config_from_dict_float_accepts_int():
@@ -182,7 +182,7 @@ def test_load_config_file(tmp_path):
     lambda: parse_config("seed = -1"),
     lambda: parse_config("seed = 4294967296"),
     lambda: Config(seed=2 ** 32),
-    lambda: Config().with_overrides(seed=-1),
+    lambda: dataclasses.replace(Config(), seed=-1),
     lambda: config_from_dict({"seed": 2 ** 40}),
 ], ids=["file-negative", "file-2**32", "init-2**32", "override-negative",
         "dict-2**40"])

@@ -10,7 +10,8 @@ import pytest
 
 from protoseg import episodes
 from protoseg.episodes import (FG_MAX, FG_MIN, DefectClass, DistortionParams,
-                               Episode, _paint_discs, default_classes,
+                               Episode, FoldSplit, _paint_discs,
+                               default_classes,
                                generate_sample, make_folds, sample_episode,
                                warp_mask)
 from protoseg.errors import ConfigError, DegenerateEpisodeError
@@ -264,7 +265,7 @@ def test_make_folds_partition_properties():
     ids = tuple(range(12))
     for seed in range(5):
         for tf in range(3):
-            split = make_folds(ids, seed, tf)
+            split = make_folds(seed, tf)
             union = set().union(*split.folds)
             assert union == set(ids)
             assert sum(len(f) for f in split.folds) == 12
@@ -274,32 +275,39 @@ def test_make_folds_partition_properties():
 
 
 def test_make_folds_deterministic():
-    a = make_folds(tuple(range(12)), 7, 1)
-    b = make_folds(tuple(range(12)), 7, 1)
+    a = make_folds(7, 1)
+    b = make_folds(7, 1)
     assert a.folds == b.folds
 
 
 def test_make_folds_rotations_cover_all_classes():
     tests = []
     for tf in range(3):
-        tests.extend(make_folds(tuple(range(12)), 3, tf).test_class_ids)
+        tests.extend(make_folds(3, tf).test_class_ids)
     assert sorted(tests) == list(range(12))
 
 
 def test_make_folds_validation():
     with pytest.raises(ConfigError):
-        make_folds((0, 1, 2, 3), 0, 0)  # not divisible by 3
-    with pytest.raises(ConfigError):
-        make_folds((0, 0, 1, 2, 3, 4), 0, 0)  # duplicate ids
-    with pytest.raises(ConfigError):
-        make_folds(tuple(range(12)), 0, 3)  # fold out of range
+        make_folds(0, 3)  # fold out of range
+
+
+@pytest.mark.parametrize("folds, test_fold, message", [
+    (((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 99)), 0, "each class id"),
+    (((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 10)), 0, "each class id"),
+    (((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)), 3, "^test_fold must be"),
+], ids=["unknown-id", "repeated-id", "test-fold-3"])
+def test_fold_split_checks_itself_when_built(folds, test_fold, message):
+    # An unknown id fails here, before any episode is drawn from the split.
+    with pytest.raises(ConfigError, match=message):
+        FoldSplit(folds=folds, test_fold=test_fold)
 
 
 # ---------------------------------------------------------------------------
 # episodes
 
 
-SPLIT = make_folds(tuple(range(12)), seed=0, test_fold=0)
+SPLIT = make_folds(seed=0, test_fold=0)
 
 
 def test_episode_contract():
@@ -373,7 +381,7 @@ def test_golden_episode_digest():
     digest = hashlib.sha256()
     families = set()
     for test_fold in range(3):
-        split = make_folds(tuple(range(12)), seed=0, test_fold=test_fold)
+        split = make_folds(seed=0, test_fold=test_fold)
         for role in ("train", "test"):
             for k in (1, 5):
                 for size in (32, 64):

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import protoseg.helper
 from protoseg import autodiff as ad
 from protoseg.autodiff import Parameter, Tape, Tensor
 from protoseg.config import Config
-from protoseg.episodes import FoldSplit, sample_episode
+from protoseg.episodes import sample_episode
 from protoseg.errors import (ConfigError, DegenerateEpisodeError, FormatError,
                              ProtosegError, TrainingError, ValidationError)
 from protoseg.fusion import bce_loss, binarize
@@ -165,7 +166,7 @@ def test_train_raises_on_a_non_finite_weight_before_the_next_forward(
         monkeypatch, tmp_path, episodes_per_epoch, poisoned, epoch, indices):
     # Optimizer step `poisoned` writes inf into one weight. Every forward,
     # in either process, logs its seed and whether its weights are finite.
-    cfg = TINY.with_overrides(episodes_per_epoch=episodes_per_epoch)
+    cfg = replace(TINY, episodes_per_epoch=episodes_per_epoch)
     log, steps, step = tmp_path / "forwards", [], SGD.step
 
     def poisoning_step(self):
@@ -252,9 +253,8 @@ def test_train_matches_a_single_process_loop(episodes_per_epoch, k_shot,
                                              overrides, tmp_path):
     # 3 ends each epoch in a one-episode step, which the caller runs
     # alone; at K=2 each encoder parameter gets three gradient pieces.
-    cfg = TINY.with_overrides(k_shot=k_shot,
-                              episodes_per_epoch=episodes_per_epoch,
-                              **overrides)
+    cfg = replace(TINY, k_shot=k_shot, episodes_per_epoch=episodes_per_epoch,
+                  **overrides)
     losses, net, paths = _reference_training(cfg, tmp_path / "serial")
     result = train(cfg, out_dir=tmp_path / "forked")
     assert result.losses == losses
@@ -293,8 +293,9 @@ def test_render_error_on_the_helpers_episode_surfaces(monkeypatch, index):
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("index", (1, 3))
+@pytest.mark.parametrize("index", (1, 3, 5))
 def test_non_finite_loss_on_the_helpers_episode_surfaces(monkeypatch, index):
+    # Index 5 is the helper's episode in epoch 1 (4 episodes per epoch).
     seed = derive_seed(TINY.seed, "train", index)
 
     class Poisoned(FewShotSegmenter):
@@ -305,7 +306,8 @@ def test_non_finite_loss_on_the_helpers_episode_surfaces(monkeypatch, index):
     monkeypatch.setattr(harness, "FewShotSegmenter", Poisoned)
     with pytest.raises(TrainingError,
                        match=r"^non-finite loss at training episode %d "
-                             r"\(episode seed %d, epoch 0\)$" % (index, seed)):
+                             r"\(episode seed %d, epoch %d\)$"
+                             % (index, seed, index // TINY.episodes_per_epoch)):
         train(TINY)
     assert not multiprocessing.active_children()
 
@@ -321,21 +323,6 @@ def test_both_episodes_of_a_step_failing_raise_the_first(monkeypatch,
         slow_caller)
     with pytest.raises(DegenerateEpisodeError,
                        match=r"^empty grid \(seed %d\)$" % seeds[0]):
-        train(TINY)
-    assert not multiprocessing.active_children()
-
-
-def test_train_reports_a_helper_that_died(monkeypatch):
-    caller = os.getpid()
-
-    def sample(*args):
-        if os.getpid() != caller:
-            os._exit(3)
-        return sample_episode(*args)
-
-    monkeypatch.setattr(harness, "sample_episode", sample)
-    with pytest.raises(ProtosegError, match="^training helper exited with "
-                                            "code 3$"):
         train(TINY)
     assert not multiprocessing.active_children()
 
@@ -370,64 +357,6 @@ def test_train_reports_a_helper_that_died_between_layout_and_pieces(
     ((loss, layout),) = replies
     assert np.isfinite(loss) and layout
     assert not multiprocessing.active_children()
-    assert len(os.listdir("/proc/self/fd")) == before
-
-
-def test_train_checks_its_request_before_forking(monkeypatch):
-    def fork():
-        raise AssertionError("train forked before checking its seed")
-
-    monkeypatch.setattr(os, "fork", fork)
-    with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
-        train(TINY.with_overrides(seed=2 ** 32))
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="reads the helper's signal dispositions in /proc")
-def test_train_helper_ignores_interrupt(monkeypatch):
-    # Ctrl-C signals the whole process group; the caller stops the helper.
-    want = train(TINY).losses
-    caller = os.getpid()
-    signalled = []
-
-    def sample(*args):
-        if os.getpid() != caller:
-            time.sleep(0.005)  # keeps the helper busy past the signal
-        elif not signalled:
-            (helper,) = multiprocessing.active_children()
-            deadline = time.monotonic() + 10
-            while not _ignores(helper.pid, signal.SIGINT):
-                if time.monotonic() > deadline:
-                    pytest.fail("helper did not come to ignore SIGINT")
-                time.sleep(0.001)
-            os.kill(helper.pid, signal.SIGINT)
-            signalled.append(helper.pid)
-        return sample_episode(*args)
-
-    monkeypatch.setattr(harness, "sample_episode", sample)
-    # A helper stopped by the signal would end the call in a ProtosegError.
-    assert train(TINY).losses == want
-    assert signalled
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="counts descriptors in /proc/self/fd")
-def test_train_leaves_no_helper_or_descriptor(monkeypatch, tmp_path):
-    class Poisoned(FewShotSegmenter):
-        def __init__(self, config, dtype=np.float32):
-            super().__init__(config, dtype)
-            self.head.cls_b.data[:] = np.nan
-
-    before = len(os.listdir("/proc/self/fd"))
-    for call in range(4):
-        if call % 2:
-            with monkeypatch.context() as m:
-                m.setattr(harness, "FewShotSegmenter", Poisoned)
-                with pytest.raises(TrainingError):
-                    train(TINY)
-        else:
-            train(TINY, out_dir=tmp_path)
-        assert not multiprocessing.active_children()
     assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -495,15 +424,6 @@ def test_render_error_in_worker_keeps_type_and_message():
     assert not multiprocessing.active_children()
 
 
-def test_unknown_class_in_split_fails_training(monkeypatch):
-    bad = FoldSplit(folds=((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 99)),
-                    test_fold=0)
-    monkeypatch.setattr(harness, "default_split", lambda config: bad)
-    with pytest.raises(ConfigError, match="^fold references unknown class id 99$"):
-        train(TINY)
-    assert not multiprocessing.active_children()
-
-
 def test_render_error_surfaces_at_its_episode(monkeypatch):
     # Episodes j and j+1 both fail, each with its own message. Whichever
     # process reaches either first, the call raises episode j's error, the
@@ -534,7 +454,7 @@ def test_render_error_surfaces_at_its_episode(monkeypatch):
 def test_seed_outside_32_bits_is_refused():
     # Masked to 32 bits, these seeds would repeat the runs of 0 and 2**32-1.
     with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
-        train(TINY.with_overrides(seed=2 ** 32))
+        train(replace(TINY, seed=2 ** 32))
     with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*32\)"):
         evaluate(FewShotSegmenter(TINY), k=1, episodes=3, seed=-1)
     assert not multiprocessing.active_children()
@@ -724,7 +644,7 @@ def test_load_network_rejects_tensors_off_the_header_config(tmp_path, change,
 def test_load_network_requires_every_config_key(tmp_path, key):
     # Without "fold" a fold-1 model would load as fold 0, and evaluate
     # would score it on the fold that holds its training classes.
-    cfg = TINY.with_overrides(fold=1, edge_fusion=False)
+    cfg = replace(TINY, fold=1, edge_fusion=False)
     path = save_checkpoint(tmp_path / "m.ckpt", FewShotSegmenter(cfg), 0, 0)
     _edit_header(path, lambda header: header["config"].pop(key))
     with pytest.raises(FormatError) as err:
@@ -786,7 +706,7 @@ def test_evaluate_raises_on_diverged_network():
 ])
 def test_evaluate_rejects_non_integer_arguments(name, value):
     # k=True equals K=1; it may not pass as one.
-    net = FewShotSegmenter(TINY.with_overrides(fold=1))
+    net = FewShotSegmenter(replace(TINY, fold=1))
     args = dict(k=1, episodes=30, seed=0)
     args[name] = value
     with pytest.raises(ConfigError, match="^%s: " % name):
@@ -806,7 +726,7 @@ def test_evaluate_matches_a_single_process_loop(k, tmp_path):
     # However the two processes split the episodes, the report sums them
     # in episode order: every float equals the single-process loop's. (At
     # 16 px the scores are too uniform for the order to show.)
-    net = train(TINY.with_overrides(image_size=32)).network
+    net = train(replace(TINY, image_size=32)).network
     want = _reference_report(net, k, 24, 7).to_dict()
     log, forward, caller = tmp_path / "pids", net.forward, os.getpid()
 
@@ -821,32 +741,6 @@ def test_evaluate_matches_a_single_process_loop(k, tmp_path):
     assert evaluate(net, k=k, episodes=24, seed=7).to_dict() == want
     assert evaluate(net, k=k, episodes=24, seed=7).to_dict() == want
     assert len(set(log.read_text().split())) == 3  # caller, one helper each
-
-
-@pytest.mark.parametrize("k", (0, -1))
-def test_evaluate_checks_its_request_before_forking(monkeypatch, k):
-    def fork():
-        raise AssertionError("evaluate forked before checking k")
-
-    monkeypatch.setattr(os, "fork", fork)
-    with pytest.raises(ConfigError, match="^k must be >= 1, got %d$" % k):
-        evaluate(FewShotSegmenter(TINY), k=k, episodes=3)
-
-
-def test_evaluate_reports_a_helper_that_died(monkeypatch):
-    caller = os.getpid()
-
-    def sample(*args):
-        if os.getpid() != caller:
-            os._exit(3)
-        time.sleep(0.01)  # leaves the helper episodes to claim
-        return sample_episode(*args)
-
-    monkeypatch.setattr(harness, "sample_episode", sample)
-    with pytest.raises(ProtosegError, match="^evaluation helper exited with "
-                                            "code 3$"):
-        evaluate(FewShotSegmenter(TINY), k=1, episodes=30, seed=0)
-    assert not multiprocessing.active_children()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -938,6 +832,69 @@ def test_a_failing_claim_stops_its_slowed_peer_after_its_episode_in_flight():
     assert below == list(range(fail_at))
 
 
+# ---------------------------------------------------------------------------
+# helper lifecycle: `helper._Helper` owns these rules for both callers, so
+# each rule has one body, run once for train's helper and once for
+# evaluate's.
+
+
+def _helpers_call(call):
+    """A toy train or evaluate call and its helper's name; the call
+    returns what a rerun must repeat."""
+    if call == "train":
+        return "training", lambda: train(TINY).losses
+    net = FewShotSegmenter(TINY)
+    return "evaluation", lambda: evaluate(net, k=1, episodes=40,
+                                          seed=4).to_dict()
+
+
+def _checks_its_request_before_forking(monkeypatch, request, match):
+    def fork():
+        raise AssertionError("forked before checking the request")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ConfigError, match=match):
+        request()
+
+
+def test_train_checks_its_request_before_forking(monkeypatch):
+    _checks_its_request_before_forking(
+        monkeypatch, lambda: train(replace(TINY, seed=2 ** 32)),
+        r"outside \[0, 2\*\*32\)")
+
+
+@pytest.mark.parametrize("k", (0, -1))
+def test_evaluate_checks_its_request_before_forking(monkeypatch, k):
+    _checks_its_request_before_forking(
+        monkeypatch, lambda: evaluate(FewShotSegmenter(TINY), k=k, episodes=3),
+        "^k must be >= 1, got %d$" % k)
+
+
+def _reports_a_helper_that_died(monkeypatch, call):
+    what, run = _helpers_call(call)
+    caller = os.getpid()
+
+    def sample(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.01)  # leaves the helper an episode to start
+        return sample_episode(*args)
+
+    monkeypatch.setattr(harness, "sample_episode", sample)
+    with pytest.raises(ProtosegError,
+                       match="^%s helper exited with code 3$" % what):
+        run()
+    assert not multiprocessing.active_children()
+
+
+def test_train_reports_a_helper_that_died(monkeypatch):
+    _reports_a_helper_that_died(monkeypatch, "train")
+
+
+def test_evaluate_reports_a_helper_that_died(monkeypatch):
+    _reports_a_helper_that_died(monkeypatch, "evaluate")
+
+
 def _ignores(pid, signum):
     """Whether process pid ignores signal signum, from /proc."""
     with open("/proc/%d/status" % pid) as f:
@@ -947,12 +904,12 @@ def _ignores(pid, signum):
     return False
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="reads the helper's signal dispositions in /proc")
-def test_evaluate_helper_ignores_interrupt(monkeypatch):
+def _helper_ignores_interrupt(monkeypatch, call):
     # Ctrl-C signals the whole process group; the caller stops the helper.
-    net = FewShotSegmenter(TINY)
-    want = evaluate(net, k=1, episodes=40, seed=4).to_dict()
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("reads the helper's signal dispositions in /proc")
+    _, run = _helpers_call(call)
+    want = run()
     caller = os.getpid()
     signalled = []
 
@@ -972,25 +929,52 @@ def test_evaluate_helper_ignores_interrupt(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_episode", sample)
     # A helper stopped by the signal would end the call in a ProtosegError.
-    assert evaluate(net, k=1, episodes=40, seed=4).to_dict() == want
+    assert run() == want
     assert signalled
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="counts descriptors in /proc/self/fd")
-def test_evaluate_leaves_no_helper_or_descriptor():
-    net = FewShotSegmenter(TINY)
-    diverged = FewShotSegmenter(TINY)
+def test_train_helper_ignores_interrupt(monkeypatch):
+    _helper_ignores_interrupt(monkeypatch, "train")
+
+
+def test_evaluate_helper_ignores_interrupt(monkeypatch):
+    _helper_ignores_interrupt(monkeypatch, "evaluate")
+
+
+def _leaves_no_helper_or_descriptor(monkeypatch, tmp_path, call):
+    # Every other call fails on a network whose head bias is NaN.
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counts descriptors in /proc/self/fd")
+    net, diverged = FewShotSegmenter(TINY), FewShotSegmenter(TINY)
     diverged.head.cls_b.data[:] = np.nan
+    error = TrainingError if call == "train" else ValidationError
+
+    def run(i):
+        if call == "evaluate":
+            evaluate(diverged if i % 2 else net, k=1, episodes=6, seed=i)
+            return
+        with monkeypatch.context() as m:
+            if i % 2:
+                m.setattr(harness, "FewShotSegmenter", lambda config: diverged)
+            train(TINY, out_dir=tmp_path)
+
     before = len(os.listdir("/proc/self/fd"))
-    for call in range(5):
-        if call % 2:
-            with pytest.raises(ValidationError):
-                evaluate(diverged, k=1, episodes=6, seed=call)
+    for i in range(5):
+        if i % 2:
+            with pytest.raises(error):
+                run(i)
         else:
-            evaluate(net, k=1, episodes=6, seed=call)
+            run(i)
         assert not multiprocessing.active_children()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_train_leaves_no_helper_or_descriptor(monkeypatch, tmp_path):
+    _leaves_no_helper_or_descriptor(monkeypatch, tmp_path, "train")
+
+
+def test_evaluate_leaves_no_helper_or_descriptor(monkeypatch, tmp_path):
+    _leaves_no_helper_or_descriptor(monkeypatch, tmp_path, "evaluate")
 
 
 _KILLED_CALLER = """
@@ -1000,21 +984,24 @@ from protoseg import harness
 from protoseg.config import Config
 from protoseg.network import FewShotSegmenter
 caller, sample = os.getpid(), harness.sample_episode
+config = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
+                reduction=4)
 
 def hold(*args):
-    # The caller names its helper and waits to be killed; the helper has
-    # minutes of episodes left to claim.
+    # The caller names its helper and waits to be killed. The helper
+    # pauses sys.argv[3] seconds in each of its episodes.
     if os.getpid() == caller:
         (helper,) = multiprocessing.active_children()
         print(helper.pid, flush=True)
         time.sleep(60)
-    time.sleep(0.01)
+    time.sleep(float(sys.argv[3]))
     return sample(*args)
 
 harness.sample_episode = hold
-net = FewShotSegmenter(Config(image_size=16, channels=8, proto_dim=4,
-                              encoder_width=4, reduction=4))
-harness.evaluate(net, k=1, episodes=20000, seed=0)
+if sys.argv[2] == "train":
+    harness.train(config)
+else:
+    harness.evaluate(FewShotSegmenter(config), k=1, episodes=20000, seed=0)
 """
 
 
@@ -1029,12 +1016,13 @@ def _exited(pid):
     return stat.rpartition(")")[2].split()[0] == "Z"
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="reads the helper's state in /proc")
-def test_evaluate_helper_exits_when_its_caller_is_killed():
+def _helper_exits_when_its_caller_is_killed(call, pause):
     # A SIGKILLed caller runs no cleanup; the helper sees it re-parented.
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("reads the helper's state in /proc")
     src = str(Path(protoseg.__file__).resolve().parent.parent)
-    child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src],
+    child = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, src,
+                              call, str(pause)],
                              stdout=subprocess.PIPE, text=True)
     try:
         helper = int(child.stdout.readline())
@@ -1053,54 +1041,17 @@ def test_evaluate_helper_exits_when_its_caller_is_killed():
         child.stdout.close()
 
 
-_KILLED_TRAINER = """
-import multiprocessing, os, sys, time
-sys.path.insert(0, sys.argv[1])
-from protoseg import harness
-from protoseg.config import Config
-caller, sample = os.getpid(), harness.sample_episode
-
-def hold(*args):
-    # The caller names its helper and waits to be killed. The helper is
-    # then either waiting for its next episode or, slowed, inside one.
-    if os.getpid() == caller:
-        (helper,) = multiprocessing.active_children()
-        print(helper.pid, flush=True)
-        time.sleep(60)
-    elif sys.argv[2] == "working":
-        time.sleep(1)
-    return sample(*args)
-
-harness.sample_episode = hold
-harness.train(Config(image_size=16, channels=8, proto_dim=4,
-                     encoder_width=4, reduction=4))
-"""
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"),
-                    reason="reads the helper's state in /proc")
 @pytest.mark.parametrize("helper_is", ("waiting", "working"))
 def test_train_helper_exits_when_its_caller_is_killed(helper_is):
     # A waiting helper reads EOF; a working one dies of SIGPIPE when it
     # sends its episode's gradient.
-    src = str(Path(protoseg.__file__).resolve().parent.parent)
-    child = subprocess.Popen([sys.executable, "-c", _KILLED_TRAINER, src,
-                              helper_is], stdout=subprocess.PIPE, text=True)
-    try:
-        helper = int(child.stdout.readline())
-        time.sleep(0.5)
-        child.kill()
-        child.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while not _exited(helper) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if not _exited(helper):
-            os.kill(helper, signal.SIGKILL)
-            pytest.fail("helper %d outlived its killed caller by 10 s" % helper)
-    finally:
-        child.kill()
-        child.wait()
-        child.stdout.close()
+    _helper_exits_when_its_caller_is_killed(
+        "train", 1 if helper_is == "working" else 0)
+
+
+def test_evaluate_helper_exits_when_its_caller_is_killed():
+    # The helper has minutes of episodes left to claim.
+    _helper_exits_when_its_caller_is_killed("evaluate", 0.01)
 
 
 # ---------------------------------------------------------------------------

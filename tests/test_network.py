@@ -1,6 +1,7 @@
 """Assembled model: parameter accounting, toggles, support encoding."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from protoseg.reasoning import GraphReasoning
 
 TOY = Config(image_size=16, channels=8, proto_dim=4, encoder_width=4,
              reduction=4, gcn_depth=2)
-SPLIT = make_folds(tuple(range(12)), seed=0, test_fold=0)
+SPLIT = make_folds(seed=0, test_fold=0)
 
 
 def toy_net(**overrides):
-    return FewShotSegmenter(TOY.with_overrides(**overrides))
+    return FewShotSegmenter(replace(TOY, **overrides))
 
 
 def conv_params(c_out, c_in, k):
@@ -33,7 +34,7 @@ def test_one_square_grid_from_encoder_to_head(depth):
     # The encoder owns the geometry: an S x S image maps to an
     # (c, S // STRIDE, S // STRIDE) grid, and both branches and the head are
     # built on it, upsampling columns with the row matrix transposed.
-    cfg = TOY.with_overrides(image_size=32, encoder_depth=depth)
+    cfg = replace(TOY, image_size=32, encoder_depth=depth)
     net = FewShotSegmenter(cfg)
     grid = 32 // STRIDE
     image = np.random.default_rng(depth).random((3, 32, 32)).astype(np.float32)
@@ -121,7 +122,7 @@ def test_forward_geometry_all_toggle_combinations():
                     {"graph_reasoning": False, "excitation": False,
                      "edge_fusion": False}):
         net = toy_net(**toggles)
-        probs = net(ep)
+        probs = net.forward(ep)
         assert probs.shape == (16, 16)
         assert np.all(np.isfinite(probs.data))
 
@@ -129,7 +130,7 @@ def test_forward_geometry_all_toggle_combinations():
 def test_inference_k_is_free():
     net = toy_net()  # config.k_shot == 1
     ep5 = sample_episode(SPLIT, "train", 5, seed=4, image_size=16)
-    assert net(ep5).shape == (16, 16)
+    assert net.forward(ep5).shape == (16, 16)
 
 
 def test_episode_loss_scalar_and_initial_value():
@@ -228,7 +229,7 @@ def test_training_backward_peaks_at_the_end_of_forward():
 
     cfg = Config()
     net = FewShotSegmenter(cfg)
-    split = make_folds(tuple(range(12)), seed=cfg.seed, test_fold=cfg.fold)
+    split = make_folds(seed=cfg.seed, test_fold=cfg.fold)
     ep = sample_episode(split, "train", cfg.k_shot, seed=3,
                         image_size=cfg.image_size)
     tracemalloc.start()
@@ -255,7 +256,7 @@ def test_training_forward_keeps_under_six_mib():
 
     cfg = Config()
     net = FewShotSegmenter(cfg)
-    split = make_folds(tuple(range(12)), seed=cfg.seed, test_fold=cfg.fold)
+    split = make_folds(seed=cfg.seed, test_fold=cfg.fold)
     ep = sample_episode(split, "train", cfg.k_shot, seed=3,
                         image_size=cfg.image_size)
     tracemalloc.start()
@@ -273,7 +274,7 @@ def test_f64_mode_propagates():
     net = FewShotSegmenter(TOY, dtype=np.float64)
     assert all(p.data.dtype == np.float64 for p in net.parameters())
     ep = sample_episode(SPLIT, "train", 1, seed=9, image_size=16)
-    assert net(ep).dtype == np.float64
+    assert net.forward(ep).dtype == np.float64
 
 
 # Initial parameters hashed per config and dtype: name, dtype, shape and
@@ -303,7 +304,7 @@ def test_golden_parameter_digest():
     configs = {"default": Config(),
                "no_edges": Config(edge_fusion=False),
                "no_reasoning": Config(graph_reasoning=False),
-               "toy_gcn3": TOY.with_overrides(gcn_depth=3)}
+               "toy_gcn3": replace(TOY, gcn_depth=3)}
     got = {}
     for name, cfg in configs.items():
         for dtype in (np.float32, np.float64):

@@ -116,6 +116,17 @@ def test_laplacian_rejects_asymmetry():
         normalized_laplacian(t64(a))
 
 
+@pytest.mark.parametrize("row, col, value", [
+    (0, 1, np.nan),  # off the diagonal: once misread as an asymmetry
+    (1, 1, np.inf),  # on the diagonal: once passed every check
+], ids=["nan-off-diagonal", "inf-on-diagonal"])
+def test_laplacian_rejects_non_finite_entries(row, col, value):
+    a = np.zeros((3, 3))
+    a[row, col] = value
+    with pytest.raises(ValidationError, match="^adjacency must be finite$"):
+        normalized_laplacian(t64(a))
+
+
 def test_laplacian_rejects_non_square():
     with pytest.raises(DimensionError):
         normalized_laplacian(Tensor(np.zeros((3, 4))))
