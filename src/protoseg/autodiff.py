@@ -139,19 +139,26 @@ def _coerce(x, like: Optional[Tensor] = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn) -> Tensor:
+def _record(out: Tensor, parents: Sequence[Tensor],
+            grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Put out on the active tape if any parent needs a gradient. grads[i]
+    maps out's gradient to parents[i]'s piece; backward adds the pieces in
+    parents order and computes none for a parent that needs no gradient."""
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
+        def backward(g: np.ndarray) -> None:
+            for p, grad in zip(parents, grads):
+                if p.requires_grad:
+                    _accumulate(p, grad(g))
+
         out.requires_grad = True
-        out._backward = backward_fn
+        out._backward = backward
         out._tape = tape
         tape._nodes.append(out)
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
     if g.shape != t.data.shape:
         raise DimensionError("gradient of shape %s for a tensor of shape %s"
                              % (g.shape, t.data.shape))
@@ -191,14 +198,8 @@ def add(a, b) -> Tensor:
     b = _coerce(b, a)
     _broadcast_shape(a.shape, b.shape)
     out = Tensor(a.data + b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                 lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -206,35 +207,22 @@ def mul(a, b) -> Tensor:
     b = _coerce(b, a)
     _broadcast_shape(a.shape, b.shape)
     out = Tensor(a.data * b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape),
+                                 lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def power(a, exponent: float) -> Tensor:
     a = _coerce(a)
     exponent = float(exponent)
     out = Tensor(a.data ** exponent)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _record(out, (a,), backward)
+    return _record(out, (a,),
+                   (lambda g: g * exponent * a.data ** (exponent - 1.0),))
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(np.maximum(a.data, 0))
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * (a.data > 0))
-
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (lambda g: g * (a.data > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -243,45 +231,33 @@ def sigmoid(a) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s.astype(x.dtype, copy=False))
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * out.data * (1.0 - out.data))
-
-    return _record(out, (a,), backward)
+    s = s.astype(x.dtype, copy=False)
+    return _record(Tensor(s), (a,), (lambda g: g * s * (1.0 - s),))
 
 
 def exp(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(np.exp(a.data))
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * out.data)
-
-    return _record(out, (a,), backward)
+    y = np.exp(a.data)
+    return _record(Tensor(y), (a,), (lambda g: g * y,))
 
 
 def log(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(np.log(a.data))
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (lambda g: g / a.data,))
 
 
 def clamp(a, lo, hi=None) -> Tensor:
     a = _coerce(a)
     out = Tensor(np.clip(a.data, lo, hi))
 
-    def backward(g: np.ndarray) -> None:
+    def grad(g: np.ndarray) -> np.ndarray:
         inside = a.data >= lo
         if hi is not None:
             inside &= a.data <= hi
-        _accumulate(a, g * inside)
+        return g * inside
 
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (grad,))
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -289,13 +265,12 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     axes = _normalize_axes(axis, a.data.ndim)
 
-    def backward(g: np.ndarray) -> None:
-        gg = g
+    def grad(g: np.ndarray) -> np.ndarray:
         if not keepdims and axes is not None:
-            gg = np.expand_dims(gg, axes)
-        _accumulate(a, np.broadcast_to(gg, a.shape))
+            g = np.expand_dims(g, axes)
+        return np.broadcast_to(g, a.shape)
 
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (grad,))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -328,11 +303,7 @@ def reshape(a, *shape) -> Tensor:
         out = Tensor(a.data.reshape(shape))
     except ValueError:
         raise DimensionError("cannot reshape %s into %s" % (a.shape, shape)) from None
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a) -> Tensor:
@@ -340,11 +311,7 @@ def transpose(a) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError("transpose expects a rank-2 tensor, got %s" % (a.shape,))
     out = Tensor(a.data.T.copy())
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return _record(out, (a,), backward)
+    return _record(out, (a,), (lambda g: g.T,))
 
 
 def concat(tensors: Iterable) -> Tensor:
@@ -358,12 +325,8 @@ def concat(tensors: Iterable) -> Tensor:
         raise DimensionError("cannot concat %s along axis 0"
                              % [p.shape for p in parts]) from None
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
-
-    return _record(out, tuple(parts), backward)
+    return _record(out, parts, [lambda g, lo=lo, hi=hi: g[lo:hi]
+                                for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +342,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError("matmul inner extents differ: %s vs %s" % (a.shape, b.shape))
     out = Tensor(a.data @ b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def _check_kernel(k: int) -> None:
@@ -412,15 +368,9 @@ def conv1d(x, weight, bias) -> Tensor:
                              % (bias.shape, c_out))
     y = weight.data @ x.data
     y += bias.data.reshape(c_out, 1)
-    out = Tensor(y)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(weight, g @ x.data.T)
-        _accumulate(bias, g.sum(axis=1))
-        if x.requires_grad:
-            _accumulate(x, weight.data.T @ g)
-
-    return _record(out, (x, weight, bias), backward)
+    return _record(Tensor(y), (weight, bias, x),
+                   (lambda g: g @ x.data.T, lambda g: g.sum(axis=1),
+                    lambda g: weight.data.T @ g))
 
 
 def conv2d(x, weight, bias, stride: int = 1) -> Tensor:
@@ -451,20 +401,13 @@ def conv2d(x, weight, bias, stride: int = 1) -> Tensor:
     w2 = weight.data.reshape(c_out, c_in * k * k)
     y = w2 @ _im2col(x.data, k, stride, hh, ww)
     y += bias.data.reshape(c_out, 1)
-    out = Tensor(y.reshape(c_out, hh, ww))
-
-    def backward(g: np.ndarray) -> None:
-        g2 = g.reshape(c_out, hh * ww)
-        # The columns are cut again from x, not kept from the forward; they
-        # and the product are temporaries, freed before col2im runs.
-        _accumulate(weight, (g2 @ _im2col(x.data, k, stride, hh, ww).T)
-                    .reshape(weight.shape))
-        _accumulate(bias, g2.sum(axis=1))
-        if not x.requires_grad:
-            return
-        _accumulate(x, _col2im(g, weight.data, x.shape, x.data.dtype, stride))
-
-    return _record(out, (x, weight, bias), backward)
+    # Backward cuts the columns again from x, not kept from the forward;
+    # they and the product are temporaries, freed before col2im runs.
+    return _record(Tensor(y.reshape(c_out, hh, ww)), (weight, bias, x), (
+        lambda g: (g.reshape(c_out, hh * ww)
+                   @ _im2col(x.data, k, stride, hh, ww).T).reshape(weight.shape),
+        lambda g: g.reshape(c_out, hh * ww).sum(axis=1),
+        lambda g: _col2im(g, weight.data, x.shape, x.data.dtype, stride)))
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, hh: int,
@@ -550,12 +493,9 @@ def avg_pool_global(x) -> Tensor:
         raise DimensionError("avg_pool_global over an empty spatial extent")
     axes = tuple(range(1, x.data.ndim))
     out = Tensor(x.data.mean(axis=axes).reshape(c, 1))
-
-    def backward(g: np.ndarray) -> None:
-        shape = (c,) + (1,) * (x.data.ndim - 1)
-        _accumulate(x, np.broadcast_to(g.reshape(shape) / n, x.shape))
-
-    return _record(out, (x,), backward)
+    shape = (c,) + (1,) * (x.data.ndim - 1)
+    return _record(out, (x,),
+                   (lambda g: np.broadcast_to(g.reshape(shape) / n, x.shape),))
 
 
 # ---------------------------------------------------------------------------

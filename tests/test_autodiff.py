@@ -264,9 +264,9 @@ def test_backward_releases_the_tape_when_a_closure_raises():
     x = param("x", np.ones(3))
     with Tape() as tape:
         y = ad.mul(x, 2.0)
-        # A closure that hands y a gradient of the wrong shape.
+        # A gradient function that hands y a piece of the wrong shape.
         bad = ad._record(Tensor(y.data.copy()), (y,),
-                         lambda g: ad._accumulate(y, np.ones(4)))
+                         (lambda g: np.ones(4),))
         out = ad.tensor_sum(ad.mul(bad, bad))
     recorded = list(tape._nodes)
     with pytest.raises(DimensionError):
@@ -441,6 +441,35 @@ def test_recorded_conv2d_keeps_only_its_output():
     assert out_bytes <= kept < out_bytes + padded_bytes // 2
 
 
+def test_conv2d_backward_cuts_no_columns_for_a_constant_weight(monkeypatch):
+    # Only the weight gradient needs the im2col columns, so with a constant
+    # weight and bias backward forms the input gradient alone.
+    rng = np.random.default_rng(9)
+    x_data = rng.normal(size=(3, 6, 5))
+    w_data = rng.normal(size=(4, 3, 3, 3))
+    b_data = rng.normal(size=4)
+    r = rng.normal(size=(4, 6, 5))
+    im2col, calls = ad._im2col, []
+
+    def counted(*args):
+        calls.append(args)
+        return im2col(*args)
+
+    def input_grad(weight, bias):
+        x = t64(x_data)
+        with Tape() as tape:
+            out = ad.tensor_sum(ad.mul(ad.conv2d(x, weight, bias), r))
+        calls.clear()
+        backward(tape, out)
+        return x.grad, len(calls)
+
+    monkeypatch.setattr(ad, "_im2col", counted)
+    want, _ = input_grad(param("w", w_data), param("b", b_data))
+    got, backward_calls = input_grad(Tensor(w_data), Tensor(b_data))
+    assert backward_calls == 0
+    assert got.tobytes() == want.tobytes()
+
+
 def forward_time_columns(x, k, stride):
     """Columns (c_in * k * k, hh * ww) of the zero-padded x, cut tap by tap
     before the tape is replayed."""
@@ -571,7 +600,7 @@ def test_grad_check_flags_wrong_gradient():
         broken = ad.Tensor(out.data.copy(), requires_grad=True)
         tape = ad._active_tape()
         if tape is not None:
-            ad._record(broken, [x], lambda g: ad._accumulate(x, 0.5 * g))
+            ad._record(broken, [x], (lambda g: 0.5 * g,))
         return ad.tensor_sum(broken)
 
     assert grad_check(f, [x], eps=1e-6) > 1e-2

@@ -57,20 +57,13 @@ def import_protoseg(src: Path) -> None:
 
 
 def openblas(symbol: str, restype):
-    """Call scipy_openblas_<symbol>64_ of numpy's bundled OpenBLAS and
-    return its result, or None without that library or symbol."""
-    import numpy
+    """The package's call into numpy's bundled OpenBLAS (`_openblas`), or
+    None when the protoseg imported has no such lookup, as in a checkout
+    older than it."""
+    import protoseg
 
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*.so*")):
-        try:  # dlopen hands back the copy numpy has loaded
-            fn = getattr(ctypes.CDLL(str(path)),
-                         "scipy_openblas_%s64_" % symbol)
-        except (OSError, AttributeError):
-            continue
-        fn.restype = restype
-        return fn()
-    return None
+    lookup = getattr(protoseg, "_openblas", None)
+    return None if lookup is None else lookup(symbol, restype)
 
 
 def blas_core() -> str:
