@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -11,14 +10,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape, Tensor, grad_check
+from .autodiff import Parameter, Tape, grad_check
 from .config import Config, check_int, config_from_dict
-from .encoder import masked_avg_pool
 from .episodes import FoldSplit, make_folds, sample_episode
 from .errors import DimensionError, FormatError, TrainingError, ValidationError
 from .fusion import bce_loss, binarize
 from .helper import _pair_episodes, _share_episodes
-from .metrics import EvalReport, fb_iou, iou, miou
+from .metrics import EvalReport, class_ious, fb_iou, iou, miou
 from .network import FewShotSegmenter
 from .seeding import derive_rng, derive_seed
 from .storage import read_checkpoint, write_checkpoint
@@ -229,13 +227,11 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
         return (ep.class_id, iou(pred, ep.masks[-1]),
                 fb_iou(pred, ep.masks[-1]), loss)
 
-    per_class: dict[int, list[float]] = defaultdict(list)
     pairs: list[tuple[int, float]] = []
     fbs: list[float] = []
     loss_values: list[float] = []
     for class_id, score_iou, score_fb, loss in _share_episodes(score, episodes):
         pairs.append((class_id, score_iou))
-        per_class[class_id].append(score_iou)
         fbs.append(score_fb)
         loss_values.append(loss)
     return EvalReport(
@@ -243,7 +239,7 @@ def evaluate(net: FewShotSegmenter, k: Optional[int] = None,
         miou=miou(pairs, split.test_class_ids),
         fb_iou=float(np.mean(fbs)),
         parameter_count=net.parameter_count(),
-        per_class_iou={c: float(np.mean(v)) for c, v in per_class.items()},
+        per_class_iou=class_ious(pairs, split.test_class_ids),
         mean_loss=float(np.mean(loss_values)),
     )
 
@@ -299,71 +295,27 @@ def render_ablation(rows: list[dict]) -> str:
 # gradient audit
 
 
-def _random_descriptors(channels: int, grid: int, seed: int, tag: str) -> Tensor:
-    rng = derive_rng(seed, "gradcheck", tag)
-    data = rng.normal(0.0, 1.0, size=(channels, grid * grid))
-    return Tensor(data.astype(np.float64))
-
-
 def gradcheck_model(config: Config) -> dict[str, float]:
-    """Worst relative gradient error per module and for the full pipeline,
-    measured in float64 on a small 1-shot episode."""
+    """Worst relative gradient error of the episode loss, the function
+    `train` differentiates, per module's parameters and over all of them
+    ("pipeline"), measured in float64 on a small 1-shot episode."""
     toy = replace(config, image_size=16, channels=8, proto_dim=4,
                   encoder_width=4, encoder_depth=4, reduction=4, k_shot=1,
                   graph_reasoning=True, excitation=True, edge_fusion=True)
     net = FewShotSegmenter(toy, dtype=np.float64)
-    # Zero-initialized layers would make most pipeline gradients trivially
-    # zero; audit at a generic point in weight space instead.
+    # Zero-initialized layers would make most gradients trivially zero;
+    # audit at a generic point in weight space instead.
     for i, p in enumerate(net.parameters()):
         rng = derive_rng(toy.seed, "gradcheck", "weights", i)
         p.data = rng.normal(0.0, 0.1, size=p.shape)
     split = default_split(toy)
     ep_seed = derive_seed(toy.seed, "gradcheck-episode")
     episode = sample_episode(split, "train", 1, ep_seed, toy.image_size)
-    grid = net.grid
-    results: dict[str, float] = {}
-
-    def check(function, params) -> float:
-        return grad_check(function, params, eps=GRADCHECK_EPS,
-                          max_coords_per_param=GRADCHECK_COORDS)
-
-    image = episode.images[-1].astype(np.float64)
-
-    def encoder_scalar():
-        out = net.encoder(image)
-        return ad.tensor_mean(ad.mul(out, out))
-
-    results["encoder"] = check(encoder_scalar, net.encoder.parameters())
-
-    x_s = _random_descriptors(toy.channels, grid, toy.seed, "support")
-    x_q = _random_descriptors(toy.channels, grid, toy.seed, "query")
-
-    def reasoning_scalar():
-        out = net.reasoning(x_s, x_q)
-        return ad.tensor_mean(ad.mul(out, out))
-
-    results["reasoning"] = check(reasoning_scalar, net.reasoning.parameters())
-
-    rng = derive_rng(toy.seed, "gradcheck", "grid")
-    grid_mask = (rng.random((grid, grid)) < 0.4).astype(np.float64)
-    if not np.any(grid_mask):
-        grid_mask[0, 0] = 1.0
-
-    def excitation_scalar():
-        out = net.excitation(x_s, masked_avg_pool(x_s, grid_mask), x_q)
-        return ad.tensor_mean(ad.mul(out, out))
-
-    results["excitation"] = check(excitation_scalar,
-                                  net.excitation.parameters())
-
-    main = _random_descriptors(toy.channels, grid, toy.seed, "main")
-    aux = _random_descriptors(toy.channels, grid, toy.seed, "aux")
-    target = (derive_rng(toy.seed, "gradcheck", "target")
-              .random((toy.image_size,) * 2) < 0.3).astype(np.float64)
-    results["fusion"] = check(lambda: bce_loss(net.head(main, aux), target),
-                              net.head.parameters())
-    results["pipeline"] = check(lambda: net.episode_loss(episode),
-                                net.parameters())
+    results = {module: grad_check(lambda: net.episode_loss(episode), params,
+                                  eps=GRADCHECK_EPS,
+                                  max_coords_per_param=GRADCHECK_COORDS)
+               for module, params in net.module_parameters().items()}
+    results["pipeline"] = max(results.values())
     return results
 
 

@@ -51,9 +51,10 @@ def fb_iou(pred, target) -> float:
                   + _ratio(n - union, n - intersection))
 
 
-def miou(per_episode: Iterable[tuple[int, float]],
-         class_ids: Sequence[int]) -> float:
-    """Class-balanced mean IoU over (class_id, iou) pairs.
+def class_ious(per_episode: Iterable[tuple[int, float]],
+               class_ids: Sequence[int]) -> dict[int, float]:
+    """Mean IoU of each id in class_ids over its (class_id, iou) pairs;
+    pairs of other classes are ignored.
 
     Every id in class_ids must appear at least once; anything less is an
     incomplete evaluation, not a zero.
@@ -65,7 +66,13 @@ def miou(per_episode: Iterable[tuple[int, float]],
     missing = sorted(c for c, vals in buckets.items() if not vals)
     if missing:
         raise IncompleteEvaluationError("no episodes for class ids %s" % missing)
-    return float(np.mean([np.mean(vals) for vals in buckets.values()]))
+    return {c: float(np.mean(vals)) for c, vals in buckets.items()}
+
+
+def miou(per_episode: Iterable[tuple[int, float]],
+         class_ids: Sequence[int]) -> float:
+    """Class-balanced mean IoU: the mean of the `class_ious`."""
+    return float(np.mean(list(class_ious(per_episode, class_ids).values())))
 
 
 @dataclass

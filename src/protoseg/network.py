@@ -57,12 +57,16 @@ class FewShotSegmenter:
     def parameter_count(self) -> int:
         return sum(self.module_parameter_counts().values())
 
-    def module_parameter_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
+    def module_parameters(self) -> dict[str, list[Parameter]]:
+        """Each module's parameters, keyed by their name prefix."""
+        groups: dict[str, list[Parameter]] = {}
         for p in self.parameters():
-            module = p.name.split(".", 1)[0]
-            counts[module] = counts.get(module, 0) + p.size
-        return counts
+            groups.setdefault(p.name.split(".", 1)[0], []).append(p)
+        return groups
+
+    def module_parameter_counts(self) -> dict[str, int]:
+        return {module: sum(p.size for p in params)
+                for module, params in self.module_parameters().items()}
 
     def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameter_dict()

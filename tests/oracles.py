@@ -1,9 +1,9 @@
 """Naive reference implementations used by the oracle and acceptance suites.
 
 Triple loops on purpose: slow, obvious, and structurally unrelated to the
-vectorized code under test. Two references are instead verbatim copies of
-code that a faster rewrite replaced, kept to pin the rewrite bit for bit:
-`scatter_conv2d_input_grad` and the sample renderer at the end.
+vectorized code under test. Two references instead pin a faster rewrite
+bit for bit: `scatter_conv2d_input_grad`, the scatter col2im the rewrite
+replaced, and the sample renderer at the end, a verbatim copy.
 """
 
 import functools
@@ -121,25 +121,34 @@ def naive_paint_discs(size, centers, radii):
 
 
 def scatter_conv2d_input_grad(x, weight, g, stride):
-    """Input gradient of a same-padded conv2d as one GEMM to columns and a
-    k*k-tap scatter-add onto a zero-initialised padded canvas: the col2im
-    that `autodiff.conv2d` used before its phase-plane rewrite, kept
-    verbatim as the bit-identity reference."""
+    """Input gradient of a same-padded conv2d as a k*k-tap scatter-add onto
+    a zero-initialised padded canvas, the col2im that `autodiff.conv2d`
+    used before its phase-plane rewrite.
+
+    Each kernel row di's taps come from the GEMM that `autodiff._col2im`
+    runs, wt[di] (k*c_in, c_out) @ gq (c_out, rows*wq), with g zero-padded
+    on the phase pitch wq. A BLAS kernel may sum GEMMs of other shapes in
+    another order, so the same product keeps the comparison to the bit
+    on every kernel; what the oracle checks is where each tap lands.
+    """
     c_out, c_in, k, _ = weight.shape
     _, h, w = x.shape
     pad = (k - 1) // 2
     hh = (h + 2 * pad - k) // stride + 1
     ww = (w + 2 * pad - k) // stride + 1
-    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    w2 = weight.reshape(c_out, c_in * k * k)
-    g2 = g.reshape(c_out, hh * ww)
-    gcols = (w2.T @ g2).reshape(c_in, k, k, hh, ww)
-    gxp = np.zeros_like(xp)
+    wq = -(-(w + 2 * pad) // stride)
+    rows = hh + (k - 1) // stride + 1
+    gq = np.zeros((c_out, rows, wq), dtype=g.dtype)
+    gq[:, :hh, :ww] = g
+    gq = gq.reshape(c_out, rows * wq)
+    wt = weight.transpose(2, 3, 1, 0).reshape(k, k * c_in, c_out)
+    gxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     for di in range(k):
+        taps = (wt[di] @ gq).reshape(k, c_in, rows, wq)
         for dj in range(k):
             gxp[:, di:di + stride * hh:stride, dj:dj + stride * ww:stride] \
-                += gcols[:, di, dj]
-    return gxp[:, pad:pad + h, pad:pad + w] if pad else gxp
+                += taps[dj, :, :hh, :ww]
+    return gxp[:, pad:pad + h, pad:pad + w]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Engine tests: ops against naive-loop oracles, tape protocol, grad_check."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import protoseg
 import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor, Tape, Parameter, backward, grad_check
 from protoseg.errors import ConfigError, DimensionError, UsageError
@@ -536,9 +541,9 @@ COL2IM_CASES = [
 @pytest.mark.parametrize("x_shape,w_shape,stride,dtype", COL2IM_CASES)
 def test_conv2d_input_grad_matches_scatter_oracle(x_shape, w_shape, stride,
                                                   dtype):
-    # The phase-plane col2im adds the same taps in the same (di, dj) order
-    # as the k*k scatter it replaced, so the bytes must agree, signed zeros
-    # included.
+    # The phase-plane col2im adds the same taps, from the same GEMMs, in the
+    # same (di, dj) order as the k*k scatter it replaced, so the bytes must
+    # agree, signed zeros included.
     rng = np.random.default_rng(sum(x_shape) + 10 * sum(w_shape) + stride)
     x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
     w = Tensor(rng.normal(size=w_shape).astype(dtype), requires_grad=True)
@@ -552,13 +557,34 @@ def test_conv2d_input_grad_matches_scatter_oracle(x_shape, w_shape, stride,
     want = np.ascontiguousarray(scatter_conv2d_input_grad(x.data, w.data, g,
                                                           stride))
     assert x.grad.dtype == want.dtype and x.grad.shape == want.shape
-    if y.shape[1:] == (1, 1):
-        # With one output position the scatter's column product was a BLAS
-        # matrix-vector call, whose summation order need not match the
-        # matrix-matrix product; float64 results may differ in the last bit.
-        assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
-    else:
-        assert x.grad.tobytes() == want.tobytes()
+    assert x.grad.tobytes() == want.tobytes()
+
+
+_ON_CORE = """
+import ctypes, sys
+sys.path.insert(0, sys.argv[1])
+import protoseg
+core = protoseg._openblas("get_corename", ctypes.c_char_p)
+print("blas_core =", "unknown" if core is None else core.decode(), flush=True)
+if core is not None:
+    import pytest
+    sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_scatter_oracle_holds_on_other_blas_kernels(core):
+    # Kernels sum a GEMM in different orders, so the byte comparison above
+    # must not rest on the host's kernel; run it in a fresh interpreter on
+    # an AVX2 and an SSE3 kernel.
+    src = str(Path(protoseg.__file__).resolve().parent.parent)
+    cases = "%s::test_conv2d_input_grad_matches_scatter_oracle" % __file__
+    out = subprocess.run([sys.executable, "-c", _ON_CORE, src, cases],
+                         env=dict(os.environ, OPENBLAS_CORETYPE=core),
+                         capture_output=True, text=True, timeout=300)
+    if out.stdout.startswith("blas_core = unknown"):
+        pytest.skip("numpy's bundled OpenBLAS cannot name its core")
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_concat_gradients():

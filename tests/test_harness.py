@@ -1116,6 +1116,22 @@ def test_gradcheck_model_under_tolerance(monkeypatch):
     assert worst < 1e-4
 
 
+def test_gradcheck_model_catches_a_wrong_backward(monkeypatch):
+    # relu feeds every module, so a backward off by half must show in each
+    # module's error, and the pipeline's error is the worst of them.
+    def relu_with_scaled_backward(a):
+        out = Tensor(np.maximum(a.data, 0))
+        return ad._record(out, (a,), (lambda g: 1.5 * g * (a.data > 0),))
+
+    monkeypatch.setattr(ad, "relu", relu_with_scaled_backward)
+    monkeypatch.setattr(harness, "GRADCHECK_COORDS", 4)
+    results = gradcheck_model(Config())
+    modules = {k: v for k, v in results.items() if k != "pipeline"}
+    assert set(modules) == {"encoder", "reasoning", "excitation", "fusion"}
+    assert min(modules.values()) >= 1e-4
+    assert results["pipeline"] == max(modules.values())
+
+
 def test_model_report_contents(tmp_path):
     result = train(TINY, out_dir=tmp_path)
     text = model_report(result.checkpoints[-1])

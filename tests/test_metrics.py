@@ -8,7 +8,7 @@ import pytest
 from protoseg.autodiff import Tensor
 from protoseg.errors import (DimensionError, IncompleteEvaluationError,
                              ValidationError)
-from protoseg.metrics import EvalReport, fb_iou, iou, miou
+from protoseg.metrics import EvalReport, class_ious, fb_iou, iou, miou
 
 from oracles import naive_iou
 
@@ -108,6 +108,14 @@ def test_miou_missing_class_raises():
 def test_miou_ignores_unlisted_classes():
     got = miou([(1, 0.4), (9, 1.0)], [1])
     assert got == pytest.approx(0.4)
+
+
+def test_miou_is_the_mean_of_class_ious():
+    pairs = [(2, 0.5), (1, 1.0), (2, 0.0), (7, 0.9)]
+    assert class_ious(pairs, [1, 2]) == {1: 1.0, 2: 0.25}
+    assert miou(pairs, [1, 2]) == 0.625
+    with pytest.raises(IncompleteEvaluationError, match=r"\[3\]"):
+        class_ious(pairs, [1, 3])
 
 
 def test_eval_report_text_and_json():
