@@ -97,32 +97,38 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Owner of one model part's parameters.
+    """Owner of one model part's parameters, each named under its prefix.
 
-    Weights are He-normal, std sqrt(2 / fan_in) with fan_in the product of
-    every axis but the first, drawn from the (seed, "init", prefix) stream.
-    Biases and zero-started weights are zeros. `parameters()` lists them in
-    declaration order, which is the checkpoint order.
+    `layer(name, shape)` declares `<prefix>.<name>.weight` and its zero
+    `(shape[0],)` bias. Weights are He-normal, std sqrt(2 / fan_in) with
+    fan_in the product of every axis but the first, drawn from the
+    (seed, "init", "<prefix>.<name>") stream, or zeros. `parameters()` lists
+    them in declaration order, which is the checkpoint order.
     """
 
-    def __init__(self, seed: int, dtype):
+    def __init__(self, prefix: str, seed: int, dtype):
+        self.prefix = prefix
         self.seed = seed
         self.dtype = dtype
         self._parameters: list[Parameter] = []
 
     def _declare(self, name: str, data: np.ndarray) -> Parameter:
-        p = Parameter(name, data)
+        p = Parameter("%s.%s" % (self.prefix, name), data)
         self._parameters.append(p)
         return p
 
-    def he_weight(self, prefix: str, shape: tuple[int, ...]) -> Parameter:
-        fan_in = math.prod(shape[1:])
-        rng = derive_rng(self.seed, "init", prefix)
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(self.dtype)
-        return self._declare(prefix + ".weight", w)
+    def weight(self, name: str, shape: tuple[int, ...], zero: bool = False) -> Parameter:
+        if zero:
+            return self._declare(name + ".weight", np.zeros(shape, self.dtype))
+        rng = derive_rng(self.seed, "init", "%s.%s" % (self.prefix, name))
+        std = np.sqrt(2.0 / math.prod(shape[1:]))
+        return self._declare(name + ".weight",
+                             rng.normal(0.0, std, size=shape).astype(self.dtype))
 
-    def zeros(self, name: str, shape: tuple[int, ...]) -> Parameter:
-        return self._declare(name, np.zeros(shape, dtype=self.dtype))
+    def layer(self, name: str, shape: tuple[int, ...], zero: bool = False):
+        """`weight(name, shape, zero)` and its zero bias, in that order."""
+        return (self.weight(name, shape, zero),
+                self._declare(name + ".bias", np.zeros(shape[:1], self.dtype)))
 
     def parameters(self) -> list[Parameter]:
         return list(self._parameters)
@@ -275,14 +281,8 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
-    axes = _normalize_axes(axis, a.data.ndim)
-    if axes is None:
-        count = a.data.size
-    else:
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = tensor_sum(a, axis=axis, keepdims=keepdims)
+    return mul(total, 1.0 / (a.data.size // total.data.size))
 
 
 def _normalize_axes(axis, ndim: int) -> Optional[tuple[int, ...]]:

@@ -14,8 +14,6 @@ from . import harness
 from .config import Config, load_config
 from .errors import ConfigError, ProtosegError
 
-GRADCHECK_TOLERANCE = 1e-4
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -99,8 +97,8 @@ def _cmd_gradcheck(args) -> int:
     for name in sorted(results):
         print("%s_max_rel_error = %.3e" % (name, results[name]))
     print("worst = %.3e" % worst)
-    print("tolerance = %.0e" % GRADCHECK_TOLERANCE)
-    if worst >= GRADCHECK_TOLERANCE:
+    print("tolerance = %.0e" % harness.GRADCHECK_TOLERANCE)
+    if worst >= harness.GRADCHECK_TOLERANCE:
         print("error = TrainingError: gradient audit failed", file=sys.stderr)
         return 1
     return 0

@@ -10,6 +10,7 @@ cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -120,10 +121,15 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
+    raw = Path(path).read_bytes()
+    # A leading byte-order mark is not part of the first key, but offsets
+    # still count it so they point into the file.
+    body = raw.removeprefix(codecs.BOM_UTF8)
     try:
-        return parse_config(Path(path).read_text(encoding="utf-8"))
+        return parse_config(body.decode("utf-8"))
     except UnicodeDecodeError as e:
-        raise ConfigError("%s: not UTF-8 at byte offset %d" % (path, e.start)) from e
+        raise ConfigError("%s: not UTF-8 at byte offset %d"
+                          % (path, len(raw) - len(body) + e.start)) from e
 
 
 def check_int(name: str, value, least: int | None = None) -> None:

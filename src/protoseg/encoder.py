@@ -44,16 +44,14 @@ class Encoder(Module):
 
     def __init__(self, in_channels: int, out_channels: int, width: int,
                  depth: int, seed: int, dtype=np.float32):
-        super().__init__(seed, dtype)
+        super().__init__("encoder", seed, dtype)
         self.in_channels = in_channels
         # (weight, bias, stride) per block
         self.blocks: list[tuple[Parameter, Parameter, int]] = []
         c_prev = in_channels
         for i in range(depth):
             c_next = out_channels if i == depth - 1 else width
-            name = "encoder.block%d" % i
-            self.blocks.append((self.he_weight(name, (c_next, c_prev, 3, 3)),
-                                self.zeros(name + ".bias", (c_next,)),
+            self.blocks.append((*self.layer("block%d" % i, (c_next, c_prev, 3, 3)),
                                 2 if i in (1, 3) else 1))
             c_prev = c_next
 

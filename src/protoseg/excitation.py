@@ -48,23 +48,19 @@ class FeatureExcitation(Module):
 
     def __init__(self, channels: int, reduction: int, grid: int,
                  edge_fusion: bool, seed: int, dtype=np.float32):
-        super().__init__(seed, dtype)
+        super().__init__("excitation", seed, dtype)
         self.channels = channels
         self.hidden = channels // reduction
         self.grid = grid
         self.edge_fusion = edge_fusion
 
         k = SPATIAL_KERNEL
-        self.squeeze_w = self.he_weight("excitation.squeeze", (self.hidden, channels))
-        self.squeeze_b = self.zeros("excitation.squeeze.bias", (self.hidden,))
-        self.expand_w = self.he_weight("excitation.expand", (channels, self.hidden))
-        self.expand_b = self.zeros("excitation.expand.bias", (channels,))
-        self.spatial_w = self.he_weight("excitation.spatial", (1, channels, k, k))
-        self.spatial_b = self.zeros("excitation.spatial.bias", (1,))
+        self.squeeze_w, self.squeeze_b = self.layer("squeeze", (self.hidden, channels))
+        self.expand_w, self.expand_b = self.layer("expand", (channels, self.hidden))
+        self.spatial_w, self.spatial_b = self.layer("spatial", (1, channels, k, k))
         if edge_fusion:
-            self.fuse_w = self.he_weight("excitation.fuse_edges",
-                                         (channels, channels + grid * grid))
-            self.fuse_b = self.zeros("excitation.fuse_edges.bias", (channels,))
+            self.fuse_w, self.fuse_b = self.layer(
+                "fuse_edges", (channels, channels + grid * grid))
 
     def channel_attention(self, p: Tensor) -> Tensor:
         """Bottleneck over the pooled channel vector; sigmoid gate on (c, l).

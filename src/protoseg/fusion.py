@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Module, Parameter, Tensor
+from .autodiff import Module, Tensor
 from .bilinear import bilinear_matrix
 from .encoder import check_binary
 from .errors import DimensionError, ValidationError
@@ -44,22 +44,18 @@ class FusionHead(Module):
 
     def __init__(self, channels: int, grid: int, size: int, seed: int,
                  dtype=np.float32):
-        super().__init__(seed, dtype)
+        super().__init__("fusion", seed, dtype)
         self.channels = channels
         self.grid = grid
         c2 = 2 * channels
-        self.convs: list[tuple[Parameter, Parameter]] = []
-        for i in range(4):  # two blocks, two convs each
-            name = "fusion.res%d" % i
-            # Second conv of each block starts at zero: blocks begin as the
-            # identity, which keeps activation scale seed-independent.
-            w = (self.zeros(name + ".weight", (c2, c2, 3, 3)) if i % 2
-                 else self.he_weight(name, (c2, c2, 3, 3)))
-            self.convs.append((w, self.zeros(name + ".bias", (c2,))))
+        # Two blocks, two convs each. The second conv of each block starts
+        # at zero: blocks begin as the identity, which keeps activation
+        # scale seed-independent.
+        self.convs = [self.layer("res%d" % i, (c2, c2, 3, 3), zero=i % 2 == 1)
+                      for i in range(4)]
         # Zero classifier: every run opens at probability 0.5 per pixel, so
         # the first loss is ln 2 and no seed starts saturated.
-        self.cls_w = self.zeros("fusion.cls.weight", (1, c2))
-        self.cls_b = self.zeros("fusion.cls.bias", (1,))
+        self.cls_w, self.cls_b = self.layer("cls", (1, c2), zero=True)
         self.rows = bilinear_matrix(size, grid, dtype)
         self.cols_t = self.rows.T.copy()
 

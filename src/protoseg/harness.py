@@ -25,10 +25,12 @@ CHECKPOINT_FORMAT = "protoseg-checkpoint"
 # Bumped whenever the header or the parameter layout changes; load_network
 # accepts only this version.
 CHECKPOINT_VERSION = 4
-# Central-difference step of the gradient audit, in float64, and the most
-# coordinates it perturbs per parameter.
+# Central-difference step of the gradient audit, in float64, the most
+# coordinates it perturbs per parameter, and the worst relative error
+# that passes.
 GRADCHECK_EPS = 1e-6
 GRADCHECK_COORDS = 8
+GRADCHECK_TOLERANCE = 1e-4
 
 ABLATION_ROWS: tuple[tuple[str, dict], ...] = (
     ("reasoning", dict(graph_reasoning=True, excitation=False, edge_fusion=False)),

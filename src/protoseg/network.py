@@ -43,8 +43,7 @@ class FewShotSegmenter:
     # -- parameter bookkeeping ----------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        modules = (self.encoder, self.reasoning, self.excitation, self.head)
-        return [p for m in modules if m is not None for p in m.parameters()]
+        return [p for params in self.module_parameters().values() for p in params]
 
     def parameter_dict(self) -> dict[str, Parameter]:
         out: dict[str, Parameter] = {}
@@ -58,11 +57,10 @@ class FewShotSegmenter:
         return sum(self.module_parameter_counts().values())
 
     def module_parameters(self) -> dict[str, list[Parameter]]:
-        """Each module's parameters, keyed by their name prefix."""
-        groups: dict[str, list[Parameter]] = {}
-        for p in self.parameters():
-            groups.setdefault(p.name.split(".", 1)[0], []).append(p)
-        return groups
+        """Each present module's parameters, keyed by its prefix, in
+        checkpoint order."""
+        modules = (self.encoder, self.reasoning, self.excitation, self.head)
+        return {m.prefix: m.parameters() for m in modules if m is not None}
 
     def module_parameter_counts(self) -> dict[str, int]:
         return {module: sum(p.size for p in params)

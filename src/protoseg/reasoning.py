@@ -84,20 +84,15 @@ class GraphReasoning(Module):
 
     def __init__(self, channels: int, proto_dim: int, gcn_depth: int,
                  grid: int, seed: int, dtype=np.float32):
-        super().__init__(seed, dtype)
+        super().__init__("reasoning", seed, dtype)
         self.channels = channels
         self.grid = grid
         c, r = channels, proto_dim
-        self.node_w = self.he_weight("reasoning.project_node", (r, c))
-        self.node_b = self.zeros("reasoning.project_node.bias", (r,))
-        self.channel_w = self.he_weight("reasoning.project_channel", (r, c))
-        self.channel_b = self.zeros("reasoning.project_channel.bias", (r,))
-        self.fuse_w = self.he_weight("reasoning.fuse_relations", (r, 2 * r))
-        self.fuse_b = self.zeros("reasoning.fuse_relations.bias", (r,))
-        self.thetas = [self.he_weight("reasoning.gcn%d" % i, (r, r))
-                       for i in range(gcn_depth)]
-        self.reflect_w = self.he_weight("reasoning.reflect", (c, r, 3, 3))
-        self.reflect_b = self.zeros("reasoning.reflect.bias", (c,))
+        self.node_w, self.node_b = self.layer("project_node", (r, c))
+        self.channel_w, self.channel_b = self.layer("project_channel", (r, c))
+        self.fuse_w, self.fuse_b = self.layer("fuse_relations", (r, 2 * r))
+        self.thetas = [self.weight("gcn%d" % i, (r, r)) for i in range(gcn_depth)]
+        self.reflect_w, self.reflect_b = self.layer("reflect", (c, r, 3, 3))
 
     def project(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """(c, l) descriptors -> (node, channel) prototype sets, each (r, l)."""

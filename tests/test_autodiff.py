@@ -15,6 +15,7 @@ import protoseg.autodiff as ad
 from protoseg.autodiff import Tensor, Tape, Parameter, backward, grad_check
 from protoseg.errors import ConfigError, DimensionError, UsageError
 from protoseg.harness import SGD
+from protoseg.seeding import derive_rng
 
 from oracles import (naive_conv1d, naive_conv2d, naive_matmul,
                      scatter_conv2d_input_grad)
@@ -182,6 +183,31 @@ def test_backward_consumes_tape():
     backward(tape, y)
     with pytest.raises(UsageError):
         backward(tape, y)
+
+
+class _TinyModule(ad.Module):
+    def __init__(self, seed, dtype):
+        super().__init__("tiny", seed, dtype)
+        self.conv_w, self.conv_b = self.layer("conv", (5, 3, 3, 3))
+        self.head_w, self.head_b = self.layer("head", (2, 5), zero=True)
+        self.theta = self.weight("theta", (4, 4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_module_layer_declares_names_init_and_bias(dtype):
+    m = _TinyModule(11, dtype)
+    assert [p.name for p in m.parameters()] == [
+        "tiny.conv.weight", "tiny.conv.bias",
+        "tiny.head.weight", "tiny.head.bias", "tiny.theta.weight"]
+    assert all(p.dtype == dtype for p in m.parameters())
+    for b, c_out in ((m.conv_b, 5), (m.head_b, 2)):
+        assert b.shape == (c_out,) and not b.data.any()
+    assert m.head_w.shape == (2, 5) and not m.head_w.data.any()
+    for w, name, fan_in in ((m.conv_w, "tiny.conv", 27),
+                            (m.theta, "tiny.theta", 4)):
+        draw = derive_rng(11, "init", name).standard_normal(w.shape)
+        want = (draw * np.sqrt(2.0 / fan_in)).astype(dtype)
+        assert w.data.tobytes() == want.tobytes(), name
 
 
 def test_no_recording_outside_tape():

@@ -178,6 +178,23 @@ def test_load_config_file(tmp_path):
     assert cfg.image_size == 32 and cfg.seed == 3
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(BOM + b"seed = 3\nimage_size = 32\n")
+    cfg = load_config(path)
+    assert cfg.seed == 3 and cfg.image_size == 32
+
+
+def test_load_config_counts_the_byte_order_mark_in_a_bad_byte_offset(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(BOM + b"seed = 3\n\xff")
+    with pytest.raises(ConfigError, match="not UTF-8 at byte offset 12$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("build", [
     lambda: parse_config("seed = -1"),
     lambda: parse_config("seed = 4294967296"),

@@ -75,6 +75,18 @@ def test_parameter_names_unique_and_prefixed():
     assert prefixes == {"encoder", "reasoning", "excitation", "fusion"}
 
 
+def test_module_parameters_group_by_module_not_by_name():
+    net = toy_net()
+    before = net.module_parameters()
+    net.encoder.parameters()[0].name = "renamed.weight"
+    after = net.module_parameters()
+    assert list(after) == ["encoder", "reasoning", "excitation", "fusion"]
+    for module in after:
+        assert [id(p) for p in after[module]] == [id(p) for p in before[module]]
+    assert net.module_parameter_counts()["encoder"] == sum(
+        p.size for p in net.encoder.parameters())
+
+
 def test_toggles_drop_parameter_groups():
     base = toy_net()
     no_graph = toy_net(graph_reasoning=False)
